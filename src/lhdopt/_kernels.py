@@ -1,19 +1,22 @@
 """Hot numeric kernels, JIT-compiled with a pure-NumPy fallback.
 
 The metaheuristic optimizers spend almost all their time in the pair-distance
-and projection sums below, so those carry ``numba.njit`` implementations.
-Setting the environment variable ``LHDOPT_DISABLE_NUMBA=1`` (or running
-without numba installed) selects the vectorized NumPy path instead; both
-paths implement identical arithmetic, and ``benchmarks/kernel_speed.py``
-compares them.
+and projection sums below.  The full-design sums carry ``numba.njit``
+implementations.  Setting the environment variable ``LHDOPT_DISABLE_NUMBA=1``
+(or running without numba installed) selects the vectorized NumPy path
+instead; both paths implement identical arithmetic, and
+``benchmarks/kernel_speed.py`` compares them.
 
 Results of the two paths agree to floating-point roundoff but are not
 guaranteed bit-identical (summation order differs), so seeded runs are
 reproducible within a mode, not across modes.
 
 All kernels take the design as an int64 array of levels 1..n and treat a
-"swap" as exchanging rows ``i`` and ``j`` within column ``col``.  Delta
-kernels are evaluated on the design *before* the swap.
+"swap" as exchanging rows ``i`` and ``j`` within column ``col``.  The delta
+kernels read the per-pair state that ``criteria.Evaluator`` caches between
+moves (``gap_power_sums`` for phi_p, ``gap_products`` for maxpro) together
+with the column being swapped, all taken *before* the swap.  They cost O(n)
+and are the same NumPy functions in both modes.
 """
 
 from __future__ import annotations
@@ -39,12 +42,25 @@ except ImportError:
 # NumPy implementations (always available; fallback path)
 # ---------------------------------------------------------------------------
 
-def dist_matrix_np(X: np.ndarray, q: int) -> np.ndarray:
-    """Full n x n inter-row distance matrix, d_ij = (sum_l |x_il-x_jl|^q)^(1/q)."""
+def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
+    """n x n matrix of sum_l |x_il - x_jl|^q: the L1 distance for q=1, the
+    squared L2 distance for q=2.  Entries are exact integers in float64."""
     diff = np.abs(X[:, None, :] - X[None, :, :]).astype(np.float64)
     if q == 1:
         return diff.sum(axis=2)
-    return np.sqrt((diff * diff).sum(axis=2))
+    return (diff * diff).sum(axis=2)
+
+
+def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Products prod_l (a_rl - x_sl)^2 for every row r of A and row s of X."""
+    diff = (A[:, None, :] - X[None, :, :]).astype(np.float64)
+    return (diff * diff).prod(axis=2)
+
+
+def dist_matrix_np(X: np.ndarray, q: int) -> np.ndarray:
+    """Full n x n inter-row distance matrix, d_ij = (sum_l |x_il-x_jl|^q)^(1/q)."""
+    S = gap_power_sums(X, q)
+    return S if q == 1 else np.sqrt(S)
 
 
 def phi_sum_np(X: np.ndarray, p: float, q: int) -> float:
@@ -52,7 +68,7 @@ def phi_sum_np(X: np.ndarray, p: float, q: int) -> float:
     n = X.shape[0]
     D = dist_matrix_np(X, q)
     iu = np.triu_indices(n, k=1)
-    return float(np.sum(D[iu] ** (-p)))
+    return float((D[iu] ** (-p)).sum())
 
 
 def phi_stable_np(X: np.ndarray, p: float, q: int) -> float:
@@ -61,71 +77,74 @@ def phi_stable_np(X: np.ndarray, p: float, q: int) -> float:
     D = dist_matrix_np(X, q)
     d = D[np.triu_indices(n, k=1)]
     dmin = d.min()
-    s = np.sum((dmin / d) ** p)
+    s = ((dmin / d) ** p).sum()
     return float(s ** (1.0 / p) / dmin)
 
 
-def phi_delta_np(X: np.ndarray, col: int, i: int, j: int, p: float, q: int,
-                 sp: float) -> float:
-    """New pair sum of d^(-p) after swapping rows i, j in column col."""
-    n = X.shape[0]
+def _others(n: int, i: int, j: int) -> np.ndarray:
+    """Mask of the rows other than i and j."""
     mask = np.ones(n, dtype=bool)
     mask[i] = False
     mask[j] = False
-    xi, xj = X[i, col], X[j, col]
-    gcol = X[mask, col]
-    gi = np.abs(xi - gcol).astype(np.float64)
-    gj = np.abs(xj - gcol).astype(np.float64)
-    di = np.abs(X[i] - X[mask]).astype(np.float64)
-    dj = np.abs(X[j] - X[mask]).astype(np.float64)
+    return mask
+
+
+def phi_delta_np(S: np.ndarray, X: np.ndarray, col: int, i: int, j: int, p: float,
+                 q: int, sp: float) -> float:
+    """New pair sum of d^(-p) after swapping rows i, j in column col.
+
+    ``S`` is ``gap_power_sums(X, q)`` of the design before the swap.
+    """
+    mask = _others(X.shape[0], i, j)
+    x = X[:, col]
+    gcol = x[mask]
+    gi = np.abs(x[i] - gcol).astype(np.float64)
+    gj = np.abs(x[j] - gcol).astype(np.float64)
+    s_il = S[i, mask]
+    s_jl = S[j, mask]
     if q == 1:
-        d_il = di.sum(axis=1)
-        d_jl = dj.sum(axis=1)
-        new_il = d_il - gi + gj
-        new_jl = d_jl - gj + gi
-        sp += np.sum(new_il ** (-p)) + np.sum(new_jl ** (-p))
-        sp -= np.sum(d_il ** (-p)) + np.sum(d_jl ** (-p))
+        new_il = s_il - gi + gj
+        new_jl = s_jl - gj + gi
+        sp += (new_il ** (-p)).sum() + (new_jl ** (-p)).sum()
+        sp -= (s_il ** (-p)).sum() + (s_jl ** (-p)).sum()
     else:
-        d2_il = (di * di).sum(axis=1)
-        d2_jl = (dj * dj).sum(axis=1)
-        new_il = d2_il - gi * gi + gj * gj
-        new_jl = d2_jl - gj * gj + gi * gi
+        new_il = s_il - gi * gi + gj * gj
+        new_jl = s_jl - gj * gj + gi * gi
         hp = p / 2.0
-        sp += np.sum(new_il ** (-hp)) + np.sum(new_jl ** (-hp))
-        sp -= np.sum(d2_il ** (-hp)) + np.sum(d2_jl ** (-hp))
+        sp += (new_il ** (-hp)).sum() + (new_jl ** (-hp)).sum()
+        sp -= (s_il ** (-hp)).sum() + (s_jl ** (-hp)).sum()
     return float(sp)
 
 
 def maxpro_sum_np(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero."""
     n = X.shape[0]
-    diff = (X[:, None, :] - X[None, :, :]).astype(np.float64)
-    prod = np.prod(diff * diff, axis=2)
+    prod = gap_products(X, X)
     iu = np.triu_indices(n, k=1)
     pairs = prod[iu]
     if np.any(pairs == 0.0):
         return -1.0
-    return float(np.sum(1.0 / pairs))
+    return float((1.0 / pairs).sum())
 
 
-def maxpro_delta_np(X: np.ndarray, col: int, i: int, j: int, s: float) -> float:
-    """New maxpro pair sum after swapping rows i, j in column col."""
-    n = X.shape[0]
-    mask = np.ones(n, dtype=bool)
-    mask[i] = False
-    mask[j] = False
-    di = (X[i] - X[mask]).astype(np.float64)
-    dj = (X[j] - X[mask]).astype(np.float64)
-    prod_i = np.prod(di * di, axis=1)
-    prod_j = np.prod(dj * dj, axis=1)
-    gcol = X[mask, col]
-    gi2 = (X[i, col] - gcol).astype(np.float64) ** 2
-    gj2 = (X[j, col] - gcol).astype(np.float64) ** 2
+def maxpro_delta_np(P: np.ndarray, X: np.ndarray, col: int, i: int, j: int,
+                    s: float) -> float:
+    """New maxpro pair sum after swapping rows i, j in column col.
+
+    ``P`` is ``gap_products(X, X)`` of the design before the swap.
+    """
+    mask = _others(X.shape[0], i, j)
+    x = X[:, col]
+    gcol = x[mask]
+    prod_i = P[i, mask]
+    prod_j = P[j, mask]
+    gi2 = (x[i] - gcol).astype(np.float64) ** 2
+    gj2 = (x[j] - gcol).astype(np.float64) ** 2
     # the swap moves the column-col factor between the two affected rows
     new_i = prod_i / gi2 * gj2
     new_j = prod_j / gj2 * gi2
-    s -= np.sum(1.0 / prod_i) + np.sum(1.0 / prod_j)
-    s += np.sum(1.0 / new_i) + np.sum(1.0 / new_j)
+    s -= (1.0 / prod_i).sum() + (1.0 / prod_j).sum()
+    s += (1.0 / new_i).sum() + (1.0 / new_j).sum()
     return float(s)
 
 
@@ -201,40 +220,6 @@ if NUMBA_ENABLED:
         return s ** (1.0 / p) / dmin
 
     @njit(cache=True)
-    def _phi_delta_nb(X, col, i, j, p, q, sp):
-        n, k = X.shape
-        xi = X[i, col]
-        xj = X[j, col]
-        for l in range(n):
-            if l == i or l == j:
-                continue
-            if q == 1:
-                d_il = 0.0
-                d_jl = 0.0
-                for c in range(k):
-                    d_il += abs(X[i, c] - X[l, c])
-                    d_jl += abs(X[j, c] - X[l, c])
-                gi = abs(xi - X[l, col])
-                gj = abs(xj - X[l, col])
-                sp -= d_il ** (-p) + d_jl ** (-p)
-                sp += (d_il - gi + gj) ** (-p) + (d_jl - gj + gi) ** (-p)
-            else:
-                d2_il = 0.0
-                d2_jl = 0.0
-                for c in range(k):
-                    g = X[i, c] - X[l, c]
-                    d2_il += g * g
-                    g = X[j, c] - X[l, c]
-                    d2_jl += g * g
-                gi = xi - X[l, col]
-                gj = xj - X[l, col]
-                hp = p / 2.0
-                sp -= d2_il ** (-hp) + d2_jl ** (-hp)
-                sp += (d2_il - gi * gi + gj * gj) ** (-hp)
-                sp += (d2_jl - gj * gj + gi * gi) ** (-hp)
-        return sp
-
-    @njit(cache=True)
     def _maxpro_sum_nb(X):
         n, k = X.shape
         s = 0.0
@@ -249,40 +234,18 @@ if NUMBA_ENABLED:
                 s += 1.0 / prod
         return s
 
-    @njit(cache=True)
-    def _maxpro_delta_nb(X, col, i, j, s):
-        n, k = X.shape
-        xi = X[i, col]
-        xj = X[j, col]
-        for l in range(n):
-            if l == i or l == j:
-                continue
-            prod_i = 1.0
-            prod_j = 1.0
-            for c in range(k):
-                g = X[i, c] - X[l, c]
-                prod_i *= g * g
-                g = X[j, c] - X[l, c]
-                prod_j *= g * g
-            gi2 = float(xi - X[l, col]) ** 2
-            gj2 = float(xj - X[l, col]) ** 2
-            s -= 1.0 / prod_i + 1.0 / prod_j
-            s += 1.0 / (prod_i / gi2 * gj2) + 1.0 / (prod_j / gj2 * gi2)
-        return s
-
     dist_matrix = _dist_matrix_nb
     phi_sum = _phi_sum_nb
     phi_stable = _phi_stable_nb
-    phi_delta = _phi_delta_nb
     maxpro_sum = _maxpro_sum_nb
-    maxpro_delta = _maxpro_delta_nb
 else:
     dist_matrix = dist_matrix_np
     phi_sum = phi_sum_np
     phi_stable = phi_stable_np
-    phi_delta = phi_delta_np
     maxpro_sum = maxpro_sum_np
-    maxpro_delta = maxpro_delta_np
+# the delta kernels only read cached rows, so both modes share the NumPy ones
+phi_delta = phi_delta_np
+maxpro_delta = maxpro_delta_np
 
 
 def warm_up() -> None:
@@ -292,9 +255,9 @@ def warm_up() -> None:
         dist_matrix(X, q)
         phi_sum(X, 15.0, q)
         phi_stable(X, 15.0, q)
-        phi_delta(X, 0, 0, 1, 15.0, q, 1.0)
+        phi_delta(gap_power_sums(X, q), X, 0, 0, 1, 15.0, q, 1.0)
     maxpro_sum(X)
-    maxpro_delta(X, 0, 0, 1, 1.0)
+    maxpro_delta(gap_products(X, X), X, 0, 0, 1, 1.0)
 
 
 IMPLEMENTATIONS = {
@@ -312,9 +275,9 @@ if NUMBA_ENABLED:
         "dist_matrix": _dist_matrix_nb,
         "phi_sum": _phi_sum_nb,
         "phi_stable": _phi_stable_nb,
-        "phi_delta": _phi_delta_nb,
+        "phi_delta": phi_delta_np,
         "maxpro_sum": _maxpro_sum_nb,
-        "maxpro_delta": _maxpro_delta_nb,
+        "maxpro_delta": maxpro_delta_np,
     }
 
 ACTIVE = "numba" if NUMBA_ENABLED else "numpy"

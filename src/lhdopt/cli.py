@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmark as bench, constructions as cons, criteria as crit
+from . import __version__, _kernels, benchmark as bench, constructions as cons, criteria as crit
 from . import io as lio
 from . import search as S
 from .criteria import CriterionSpec
@@ -195,6 +195,8 @@ def _cmd_search(args) -> int:
         "elapsed_ms": result.elapsed * 1000.0,
         "config": result.config_echo,
         "criteria": _standard_criteria(result.best),
+        # a seeded run reproduces only within one kernel mode
+        "kernels": _kernels.ACTIVE,
     }
     if result.extras:
         meta["extras"] = result.extras

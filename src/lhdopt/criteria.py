@@ -221,11 +221,16 @@ def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
 class Evaluator:
     """Incremental criterion evaluation under within-column swaps.
 
-    Holds a private copy of the design.  ``propose(col, i, j)`` returns the
-    criterion value the design would have after swapping rows i and j in
-    column col; ``commit`` applies the swap.  The full state is recomputed
-    every few thousand commits to keep additive float drift far below the
-    1e-10 agreement contract.
+    Holds a private copy of the design and per-pair state that a swap only
+    changes in two rows: the pair gap sums ``S`` (phi_p, combo), the pair gap
+    products ``P`` (maxpro) and the doubled-centered levels ``Z`` (avgcor,
+    maxcor, combo).  ``propose(col, i, j)`` returns the criterion value the
+    design would have after swapping rows i and j in column col, reading two
+    rows of the cache; ``commit`` applies the swap and updates those rows.
+    ``S`` and ``Z`` are integers and ``P`` is recomputed from the design, so
+    the caches never drift; the scalar sums are recomputed every few
+    thousand commits to keep additive float drift far below the 1e-10
+    agreement contract.
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
@@ -233,9 +238,17 @@ class Evaluator:
         self.X = np.array(design, dtype=np.int64, order="C")
         self.n, self.k = self.X.shape
         self._npairs = self.n * (self.n - 1) // 2
+        self._p = float(spec.p)
         self._commits = 0
         self._cache_key = None
         self._refresh()
+        if spec.kind in ("phi_p", "combo"):
+            self._S = _kernels.gap_power_sums(self.X, spec.q)
+        if spec.kind == "maxpro":
+            self._P = _kernels.gap_products(self.X, self.X)
+        if spec.kind in ("avgcor", "maxcor", "combo"):
+            self._Z = _doubled_centered(self.X)
+            self._iu = np.triu_indices(self.k, k=1)
         if spec.kind == "combo" and spec.norm_upper is None:
             # pin U to the starting design so all later values share one scale
             self.spec = replace(spec, norm_upper=self._phi_from_sp(self._sp))
@@ -245,7 +258,7 @@ class Evaluator:
     def _refresh(self) -> None:
         spec = self.spec
         if spec.kind in ("phi_p", "combo"):
-            self._sp = float(_kernels.phi_sum(self.X, float(spec.p), spec.q))
+            self._sp = float(_kernels.phi_sum(self.X, self._p, spec.q))
         if spec.kind == "maxpro":
             s = float(_kernels.maxpro_sum(self.X))
             if s < 0.0:
@@ -264,8 +277,7 @@ class Evaluator:
         """(avg |r|, max |r|, avg r^2) over column pairs from a Gram matrix."""
         if self.k < 2:
             return 0.0, 0.0, 0.0
-        iu = np.triu_indices(self.k, k=1)
-        r = G[iu].astype(np.float64) / float(self._v)
+        r = G[self._iu].astype(np.float64) / float(self._v)
         a = np.abs(r)
         return float(a.mean()), float(a.max()), float((r * r).mean())
 
@@ -305,11 +317,11 @@ class Evaluator:
         spec = self.spec
         X = self.X
         if spec.kind == "phi_p":
-            return float(_kernels.phi_delta(X, col, i, j, float(spec.p), spec.q, self._sp))
+            return float(_kernels.phi_delta(self._S, X, col, i, j, self._p, spec.q, self._sp))
         if spec.kind == "maxpro":
-            return float(_kernels.maxpro_delta(X, col, i, j, self._ms))
+            return float(_kernels.maxpro_delta(self._P, X, col, i, j, self._ms))
         # Gram update: only row/column `col` changes, diagonal is invariant
-        Z = _doubled_centered(X)
+        Z = self._Z
         dz = int(Z[j, col]) - int(Z[i, col])
         row = self._G[col] + dz * (Z[i] - Z[j])
         row[col] = self._G[col, col]
@@ -318,7 +330,7 @@ class Evaluator:
             G[col, :] = row
             G[:, col] = row
             return G
-        sp = float(_kernels.phi_delta(X, col, i, j, float(spec.p), spec.q, self._sp))
+        sp = float(_kernels.phi_delta(self._S, X, col, i, j, self._p, spec.q, self._sp))
         G = self._G.copy()
         G[col, :] = row
         G[:, col] = row
@@ -348,11 +360,42 @@ class Evaluator:
         else:
             self._sp, self._G = state
         X = self.X
+        if spec.kind in ("phi_p", "combo"):
+            self._update_gap_sums(col, i, j)
+        if spec.kind in ("avgcor", "maxcor", "combo"):
+            Z = self._Z
+            Z[i, col], Z[j, col] = Z[j, col], Z[i, col]
         X[i, col], X[j, col] = X[j, col], X[i, col]
+        if spec.kind == "maxpro":
+            rows = [i, j]
+            P = self._P
+            P[rows] = _kernels.gap_products(X[rows], X)
+            P[:, rows] = P[rows].T
         self._cache_key = None
         self._commits += 1
         if self._commits % _REFRESH_EVERY == 0:
             self._refresh()
+
+    def _update_gap_sums(self, col: int, i: int, j: int) -> None:
+        """Rows and columns i, j of ``S`` for the swap, from the design before it.
+
+        Against every other row l, row i trades its column-col gap |x_i - x_l|^q
+        for |x_j - x_l|^q and row j the reverse; the i-j pair is unchanged.
+        """
+        x = self.X[:, col]
+        gi = np.abs(x[i] - x)
+        gj = np.abs(x[j] - x)
+        if self.spec.q == 2:
+            gi = gi * gi
+            gj = gj * gj
+        delta = gj - gi
+        delta[i] = 0
+        delta[j] = 0
+        S = self._S
+        S[i] += delta
+        S[j] -= delta
+        S[:, i] = S[i]
+        S[:, j] = S[j]
 
 
 def delta_after_exchange(

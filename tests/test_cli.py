@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lhdopt import max_abs_cor, phi_p, validate
+from lhdopt import _kernels, max_abs_cor, phi_p, validate
 from lhdopt.cli import main, search_from_echo
 from lhdopt.io import read_design
 
@@ -82,6 +82,7 @@ class TestSearch:
                     "-o", str(out), "--trace", str(trace)]) == 0
         meta = json.loads((tmp_path / "s.json").read_text())
         assert meta["value"] == pytest.approx(brute_force_phi_optimum(4), rel=1e-9)
+        assert meta["kernels"] == _kernels.ACTIVE
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "evaluation_index,best_value"
         assert len(lines) >= 2

@@ -7,8 +7,7 @@ from conftest import random_design
 from lhdopt import _kernels
 
 
-pairs = pytest.mark.parametrize("name", ["dist_matrix", "phi_sum", "phi_stable",
-                                         "phi_delta", "maxpro_sum", "maxpro_delta"])
+pairs = pytest.mark.parametrize("name", ["dist_matrix", "phi_sum", "phi_stable", "maxpro_sum"])
 
 
 class TestFallbackPath:
@@ -17,6 +16,11 @@ class TestFallbackPath:
             "dist_matrix", "phi_sum", "phi_stable", "phi_delta",
             "maxpro_sum", "maxpro_delta",
         }
+
+    def test_delta_kernels_shared_by_modes(self):
+        for impl in _kernels.IMPLEMENTATIONS.values():
+            assert impl["phi_delta"] is _kernels.phi_delta_np is _kernels.phi_delta
+            assert impl["maxpro_delta"] is _kernels.maxpro_delta_np is _kernels.maxpro_delta
 
     def test_active_mode_consistent(self):
         if _kernels.NUMBA_ENABLED:
@@ -37,22 +41,12 @@ class TestPathAgreement:
             k = int(gen.integers(1, 6))
             X = random_design(gen, n, k)
             q = int(gen.integers(1, 3))
-            c = int(gen.integers(k))
-            i, j = int(gen.integers(n)), int(gen.integers(n))
             if name == "dist_matrix":
                 a, b = nb(X, q), npy(X, q)
             elif name in ("phi_sum", "phi_stable"):
                 a, b = nb(X, 15.0, q), npy(X, 15.0, q)
-            elif name == "phi_delta":
-                base = _kernels.IMPLEMENTATIONS["numpy"]["phi_sum"](X, 15.0, q)
-                a = nb(X, c, i, j, 15.0, q, base)
-                b = npy(X, c, i, j, 15.0, q, base)
-            elif name == "maxpro_sum":
-                a, b = nb(X), npy(X)
             else:
-                base = _kernels.IMPLEMENTATIONS["numpy"]["maxpro_sum"](X)
-                a = nb(X, c, i, j, base)
-                b = npy(X, c, i, j, base)
+                a, b = nb(X), npy(X)
             assert np.allclose(a, b, rtol=1e-11, atol=0.0)
 
     def test_degenerate_flag_agrees(self):
