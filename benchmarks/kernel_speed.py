@@ -2,8 +2,9 @@
 """Compare the JIT-compiled kernels against the pure-NumPy fallback.
 
 Times every hot kernel on a grid of design sizes and prints the speedup,
-plus an end-to-end annealing run in whichever mode is active.  Run once
-normally and once with LHDOPT_DISABLE_NUMBA=1 to see the end-to-end gap.
+plus LaPSO's ``match_swaps`` step and an end-to-end annealing run in
+whichever mode is active.  Run once normally and once with
+LHDOPT_DISABLE_NUMBA=1 to see the end-to-end gap.
 The delta kernels read the per-pair state an ``Evaluator`` caches and are
 the same NumPy functions in both modes.
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from lhdopt import CriterionSpec, OptimizerConfig, RngStream, random_lhd, sa_search
 from lhdopt import _kernels
+from lhdopt.search import match_swaps
 
 
 def time_call(fn, *args, repeat=2000):
@@ -53,6 +55,16 @@ def bench_kernels():
         print()
 
 
+def bench_match_swaps():
+    # LaPSO at 50x8 moves each column up to ceil(50/4) = 13 swaps toward a best
+    n, count = 50, 13
+    column = np.array(random_lhd(n, 1, RngStream(7, 0)))[:, 0]
+    target = np.array(random_lhd(n, 1, RngStream(7, 1)))[:, 0]
+    gen = RngStream(7, 2).generator()
+    t = time_call(match_swaps, column, target, count, gen)
+    print(f"{'match_swaps':<14} {f'n={n}':<9} {t * 1e6:10.2f} us  ({count} swaps per call)\n")
+
+
 def bench_search():
     cfg = OptimizerConfig(algorithm="sa", max_evaluations=50000, seed=RngStream(3))
     t0 = time.perf_counter()
@@ -65,4 +77,5 @@ def bench_search():
 if __name__ == "__main__":
     print(f"active kernel path: {_kernels.ACTIVE}\n")
     bench_kernels()
+    bench_match_swaps()
     bench_search()

@@ -11,6 +11,11 @@ Results of the two paths agree to floating-point roundoff but are not
 guaranteed bit-identical (summation order differs), so seeded runs are
 reproducible within a mode, not across modes.
 
+The full-design NumPy kernels are pair-indexed: they gather the C(n,2) x k
+gaps ``X[a] - X[b]`` over the row pairs a < b of ``pair_indices(n)`` and
+reduce each pair's length-k row, so no n x n x k tensor is built and no
+index arrays are rebuilt per call.
+
 All kernels take the design as an int64 array of levels 1..n and treat a
 "swap" as exchanging rows ``i`` and ``j`` within column ``col``.  The delta
 kernels read the per-pair state that ``criteria.Evaluator`` caches between
@@ -21,6 +26,7 @@ and are the same NumPy functions in both modes.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -57,6 +63,30 @@ def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (diff * diff).prod(axis=2)
 
 
+@functools.lru_cache(maxsize=32)
+def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(m, k=1)``: the index pairs a < b of m items,
+    built once per m (row pairs of a design, or column pairs of a Gram matrix)."""
+    a, b = np.triu_indices(m, k=1)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
+def _pair_gaps(X: np.ndarray) -> np.ndarray:
+    """C(n,2) x k float64 gaps x_a - x_b over the row pairs a < b."""
+    a, b = pair_indices(X.shape[0])
+    return (X[a] - X[b]).astype(np.float64)
+
+
+def _pair_distances(X: np.ndarray, q: int) -> np.ndarray:
+    """Distances d_ab over the row pairs a < b, in ``pair_indices`` order."""
+    diff = _pair_gaps(X)
+    if q == 1:
+        return np.abs(diff).sum(axis=1)
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
 def dist_matrix_np(X: np.ndarray, q: int) -> np.ndarray:
     """Full n x n inter-row distance matrix, d_ij = (sum_l |x_il-x_jl|^q)^(1/q)."""
     S = gap_power_sums(X, q)
@@ -65,17 +95,12 @@ def dist_matrix_np(X: np.ndarray, q: int) -> np.ndarray:
 
 def phi_sum_np(X: np.ndarray, p: float, q: int) -> float:
     """Sum over row pairs of d_ij^(-p)."""
-    n = X.shape[0]
-    D = dist_matrix_np(X, q)
-    iu = np.triu_indices(n, k=1)
-    return float((D[iu] ** (-p)).sum())
+    return float((_pair_distances(X, q) ** (-p)).sum())
 
 
 def phi_stable_np(X: np.ndarray, p: float, q: int) -> float:
     """phi_p with the smallest distance factored out so large p cannot underflow."""
-    n = X.shape[0]
-    D = dist_matrix_np(X, q)
-    d = D[np.triu_indices(n, k=1)]
+    d = _pair_distances(X, q)
     dmin = d.min()
     s = ((dmin / d) ** p).sum()
     return float(s ** (1.0 / p) / dmin)
@@ -118,10 +143,8 @@ def phi_delta_np(S: np.ndarray, X: np.ndarray, col: int, i: int, j: int, p: floa
 
 def maxpro_sum_np(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero."""
-    n = X.shape[0]
-    prod = gap_products(X, X)
-    iu = np.triu_indices(n, k=1)
-    pairs = prod[iu]
+    diff = _pair_gaps(X)
+    pairs = (diff * diff).prod(axis=1)
     if np.any(pairs == 0.0):
         return -1.0
     return float((1.0 / pairs).sum())

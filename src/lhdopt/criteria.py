@@ -148,7 +148,7 @@ def _offdiag_correlations(design: np.ndarray) -> np.ndarray:
     if k < 2:
         raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
     C = column_correlations(design)
-    return C[np.triu_indices(k, k=1)]
+    return C[_kernels.pair_indices(k)]
 
 
 def avg_abs_cor(design: np.ndarray) -> float:
@@ -248,7 +248,7 @@ class Evaluator:
             self._P = _kernels.gap_products(self.X, self.X)
         if spec.kind in ("avgcor", "maxcor", "combo"):
             self._Z = _doubled_centered(self.X)
-            self._iu = np.triu_indices(self.k, k=1)
+            self._iu = _kernels.pair_indices(self.k)
         if spec.kind == "combo" and spec.norm_upper is None:
             # pin U to the starting design so all later values share one scale
             self.spec = replace(spec, norm_upper=self._phi_from_sp(self._sp))

@@ -57,11 +57,11 @@ def permutation(gen: np.random.Generator, n: int) -> np.ndarray:
     Consumes exactly n-1 bounded integer draws: for i = n-1, ..., 1 draw
     j ~ U{0..i} and swap positions i and j.
     """
-    a = np.arange(1, n + 1, dtype=np.int64)
+    a = list(range(1, n + 1))
     for i in range(n - 1, 0, -1):
         j = int(gen.integers(0, i + 1))
         a[i], a[j] = a[j], a[i]
-    return a
+    return np.array(a, dtype=np.int64)
 
 
 def two_distinct(gen: np.random.Generator, n: int) -> tuple[int, int]:

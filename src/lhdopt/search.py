@@ -14,6 +14,7 @@ check closure properties move by move.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -447,7 +448,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
             if budget.exhausted():
                 break
             mask = gen.integers(0, 2, size=k).astype(bool)
-            child = np.where(mask[None, :], best_parent, pop[idx]).copy()
+            child = np.where(mask[None, :], best_parent, pop[idx])
             for c in range(k):
                 if gen.random() < pmut:
                     i, j = two_distinct(gen, n)
@@ -468,21 +469,31 @@ def match_swaps(column: np.ndarray, target: np.ndarray, count: int,
                 gen: np.random.Generator) -> np.ndarray:
     """Up to ``count`` swaps moving ``column`` toward ``target``.
 
-    Each swap picks a disagreeing position uniformly and swaps it with the
-    position currently holding the target's value there, so the Hamming
-    distance to the target never increases and drops by at least one per
-    swap.  Returns the modified copy.
+    Precondition: ``column`` is a rearrangement of ``target`` and its values
+    are distinct, as in every LHD column (a permutation of 1..n).  Each swap
+    picks a disagreeing position uniformly (one bounded draw over the sorted
+    disagreeing positions) and swaps it with the position currently holding
+    the target's value there, so the Hamming distance to the target never
+    increases and drops by at least one per swap.  Returns the modified copy.
     """
     col = np.array(column, dtype=np.int64)
+    diff = np.flatnonzero(col != target).tolist()
+    if not diff:
+        return col
+    cur = col.tolist()
+    want = np.asarray(target).tolist()
+    where = {v: r for r, v in enumerate(cur)}
     for _ in range(count):
-        diff = np.nonzero(col != target)[0]
-        if len(diff) == 0:
+        if not diff:
             break
-        r = int(diff[gen.integers(len(diff))])
-        want = target[r]
-        r2 = int(np.nonzero(col == want)[0][0])
-        col[r], col[r2] = col[r2], col[r]
-    return col
+        r = diff.pop(int(gen.integers(len(diff))))
+        r2 = where[want[r]]
+        cur[r], cur[r2] = cur[r2], cur[r]
+        where[cur[r]] = r
+        where[cur[r2]] = r2
+        if cur[r2] == want[r2]:
+            del diff[bisect.bisect_left(diff, r2)]
+    return np.array(cur, dtype=np.int64)
 
 
 def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,

@@ -21,7 +21,9 @@ from lhdopt import (
     OptimizerConfig,
     RngStream,
     _kernels,
+    ga_search,
     good_oa_catalog,
+    lapso_search,
     make_slices,
     oasa_search,
     sa_multiobj_search,
@@ -45,10 +47,28 @@ RUNS = {
                                               CriterionSpec("phi_p"), _cfg("oasa", 2000, 17, 6)),
     "sa-sliced": lambda: sliced_sa_search(make_slices(12, 3), 3, CriterionSpec("phi_p"),
                                           _cfg("sa-sliced", 2000, 18, 7)),
+    "ga-phi_p-q1": lambda: ga_search(12, 4, CriterionSpec("phi_p", q=1), _cfg("ga", 400, 19, 8)),
+    "ga-maxpro": lambda: ga_search(12, 4, CriterionSpec("maxpro"), _cfg("ga", 400, 20, 9)),
+    "ga-combo-w0.5": lambda: ga_search(12, 4, CriterionSpec("combo", weight=0.5),
+                                       _cfg("ga", 400, 21, 10)),
+    "lapso-phi_p-q2": lambda: lapso_search(12, 4, CriterionSpec("phi_p", q=2),
+                                           _cfg("lapso", 300, 22, 11)),
+    "lapso-maxpro": lambda: lapso_search(12, 4, CriterionSpec("maxpro"), _cfg("lapso", 300, 23, 12)),
+    "lapso-combo-w0.5": lambda: lapso_search(12, 4, CriterionSpec("combo", weight=0.5),
+                                             _cfg("lapso", 300, 24, 13)),
+    "lapso-phi_p-44x6": lambda: lapso_search(44, 6, CriterionSpec("phi_p"),
+                                             _cfg("lapso", 200, 25, 14)),
 }
 
 # name -> (repr(value), sha1(best.tobytes()), sha1(repr(trace)), evaluations_used)
 GOLDEN = {
+    'ga-combo-w0.5': ('0.08046642692799964', 'd47e7f5bc423bf71456ae9ecee79ee26f3dc3569', '5d0f037bae31b43d6ae83f4bc8c19be87b12d815', 400),
+    'ga-maxpro': ('0.12230358465706627', '0122c83c2585b6009339d1aa329b10835e83cf78', '1e32769333c866892e3677e0b7fe77689f6817bd', 400),
+    'ga-phi_p-q1': ('0.0999262025788571', '4816b16bc1cfeec9a8bcd0db65bc04653cafe695', 'c933a40ecd69abd1c8f7131e7964069940f55d5a', 400),
+    'lapso-combo-w0.5': ('0.29183411065445053', 'ed3de6ca66227c65bc0a3603fc243d349936744d', 'fd015443532660e5f492afc4d52f76cf51bd5e9d', 300),
+    'lapso-maxpro': ('0.12644346373668244', 'f4f71d08147ae63a4cd3939131ab89f1a14fb8c5', 'e418afdb2f87dc3a1d447ad92552e6780abb4311', 300),
+    'lapso-phi_p-44x6': ('0.030417675709177548', 'b126de4a35c60b6e648b6012f802ae4f3a666dc8', 'ce50acba943be0a6dcef6b19ba1f41ecf4c69694', 200),
+    'lapso-phi_p-q2': ('0.17175417460441997', 'eeb59f93dd8d5abe79cbf5a375be163580067fc5', '97efdfb7edd2ab2c8436f2b13f810e49a6591c9d', 300),
     'oasa-OA(25,6,5,2)': ('0.03945502137471286', '18cd467acc9a31687258c719dec8d2a58f10ec47', '958ad1d48c32b521ca5412baa102aa029205672d', 2000),
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),
     'sa-maxcor': ('0.055944055944055944', '9d55895a2c66f415f7fc4fc42e93478a1860d60b', '42624b452e98e4daeac0e2ca6c4bb5eb1e0d8ed9', 2000),
