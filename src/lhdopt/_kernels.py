@@ -1,52 +1,26 @@
-"""Hot numeric kernels, JIT-compiled with a pure-NumPy fallback.
+"""Hot numeric kernels: one NumPy implementation each.
 
 The metaheuristic optimizers spend almost all their time in the pair-distance
-and projection sums below.  The full-design sums carry ``numba.njit``
-implementations.  Setting the environment variable ``LHDOPT_DISABLE_NUMBA=1``
-(or running without numba installed) selects the vectorized NumPy path
-instead; both paths implement identical arithmetic, and
-``benchmarks/kernel_speed.py`` compares them.
+and projection sums below.  With one implementation per kernel, a seeded run
+gives the same bits on every install.  Callers go through the module
+attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
+``IMPLEMENTATIONS``.
 
-Results of the two paths agree to floating-point roundoff but are not
-guaranteed bit-identical (summation order differs), so seeded runs are
-reproducible within a mode, not across modes.
-
-The full-design NumPy kernels are pair-indexed: they gather the C(n,2) x k
-gaps ``X[a] - X[b]`` over the row pairs a < b of ``pair_indices(n)`` and
-reduce each pair's length-k row, so no n x n x k tensor is built and no
-index arrays are rebuilt per call.
-
-All kernels take the design as an int64 array of levels 1..n and treat a
-"swap" as exchanging rows ``i`` and ``j`` within column ``col``.  The delta
+The full-design kernels reduce the C(n,2) x k gaps ``X[a] - X[b]`` over the
+row pairs a < b of ``pair_indices(n)``, so no n x n x k tensor is built.  All
+kernels take the design as an int64 array of levels 1..n and treat a "swap"
+as exchanging rows ``i`` and ``j`` within column ``col``.  The O(n) delta
 kernels read the per-pair state that ``criteria.Evaluator`` caches between
-moves (``gap_power_sums`` for phi_p, ``gap_products`` for maxpro) together
-with the column being swapped, all taken *before* the swap.  They cost O(n)
-and are the same NumPy functions in both modes.
+moves (``gap_power_sums`` for phi_p, ``gap_products`` for maxpro) and the
+swapped column, all taken *before* the swap.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("LHDOPT_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG not in ("", "0", "false")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via LHDOPT_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# NumPy implementations (always available; fallback path)
-# ---------------------------------------------------------------------------
 
 def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
     """n x n matrix of sum_l |x_il - x_jl|^q: the L1 distance for q=1, the
@@ -87,18 +61,18 @@ def _pair_distances(X: np.ndarray, q: int) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def dist_matrix_np(X: np.ndarray, q: int) -> np.ndarray:
+def dist_matrix(X: np.ndarray, q: int) -> np.ndarray:
     """Full n x n inter-row distance matrix, d_ij = (sum_l |x_il-x_jl|^q)^(1/q)."""
     S = gap_power_sums(X, q)
     return S if q == 1 else np.sqrt(S)
 
 
-def phi_sum_np(X: np.ndarray, p: float, q: int) -> float:
+def phi_sum(X: np.ndarray, p: float, q: int) -> float:
     """Sum over row pairs of d_ij^(-p)."""
     return float((_pair_distances(X, q) ** (-p)).sum())
 
 
-def phi_stable_np(X: np.ndarray, p: float, q: int) -> float:
+def phi_stable(X: np.ndarray, p: float, q: int) -> float:
     """phi_p with the smallest distance factored out so large p cannot underflow."""
     d = _pair_distances(X, q)
     dmin = d.min()
@@ -114,8 +88,8 @@ def _others(n: int, i: int, j: int) -> np.ndarray:
     return mask
 
 
-def phi_delta_np(S: np.ndarray, X: np.ndarray, col: int, i: int, j: int, p: float,
-                 q: int, sp: float) -> float:
+def phi_delta(S: np.ndarray, X: np.ndarray, col: int, i: int, j: int, p: float,
+              q: int, sp: float) -> float:
     """New pair sum of d^(-p) after swapping rows i, j in column col.
 
     ``S`` is ``gap_power_sums(X, q)`` of the design before the swap.
@@ -141,7 +115,7 @@ def phi_delta_np(S: np.ndarray, X: np.ndarray, col: int, i: int, j: int, p: floa
     return float(sp)
 
 
-def maxpro_sum_np(X: np.ndarray) -> float:
+def maxpro_sum(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero."""
     diff = _pair_gaps(X)
     pairs = (diff * diff).prod(axis=1)
@@ -150,8 +124,8 @@ def maxpro_sum_np(X: np.ndarray) -> float:
     return float((1.0 / pairs).sum())
 
 
-def maxpro_delta_np(P: np.ndarray, X: np.ndarray, col: int, i: int, j: int,
-                    s: float) -> float:
+def maxpro_delta(P: np.ndarray, X: np.ndarray, col: int, i: int, j: int,
+                 s: float) -> float:
     """New maxpro pair sum after swapping rows i, j in column col.
 
     ``P`` is ``gap_products(X, X)`` of the design before the swap.
@@ -171,136 +145,20 @@ def maxpro_delta_np(P: np.ndarray, X: np.ndarray, col: int, i: int, j: int,
     return float(s)
 
 
-# ---------------------------------------------------------------------------
-# Numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _dist_matrix_nb(X, q):
-        n, k = X.shape
-        D = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = 0.0
-                if q == 1:
-                    for c in range(k):
-                        d += abs(X[i, c] - X[j, c])
-                else:
-                    for c in range(k):
-                        g = X[i, c] - X[j, c]
-                        d += g * g
-                    d = np.sqrt(d)
-                D[i, j] = d
-                D[j, i] = d
-        return D
-
-    @njit(cache=True)
-    def _phi_sum_nb(X, p, q):
-        n, k = X.shape
-        s = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = 0.0
-                if q == 1:
-                    for c in range(k):
-                        d += abs(X[i, c] - X[j, c])
-                else:
-                    for c in range(k):
-                        g = X[i, c] - X[j, c]
-                        d += g * g
-                    d = np.sqrt(d)
-                s += d ** (-p)
-        return s
-
-    @njit(cache=True)
-    def _phi_stable_nb(X, p, q):
-        n, k = X.shape
-        m = n * (n - 1) // 2
-        d = np.empty(m, dtype=np.float64)
-        t = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = 0.0
-                if q == 1:
-                    for c in range(k):
-                        v += abs(X[i, c] - X[j, c])
-                else:
-                    for c in range(k):
-                        g = X[i, c] - X[j, c]
-                        v += g * g
-                    v = np.sqrt(v)
-                d[t] = v
-                t += 1
-        dmin = d[0]
-        for t in range(1, m):
-            if d[t] < dmin:
-                dmin = d[t]
-        s = 0.0
-        for t in range(m):
-            s += (dmin / d[t]) ** p
-        return s ** (1.0 / p) / dmin
-
-    @njit(cache=True)
-    def _maxpro_sum_nb(X):
-        n, k = X.shape
-        s = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                prod = 1.0
-                for c in range(k):
-                    g = X[i, c] - X[j, c]
-                    prod *= g * g
-                if prod == 0.0:
-                    return -1.0
-                s += 1.0 / prod
-        return s
-
-    dist_matrix = _dist_matrix_nb
-    phi_sum = _phi_sum_nb
-    phi_stable = _phi_stable_nb
-    maxpro_sum = _maxpro_sum_nb
-else:
-    dist_matrix = dist_matrix_np
-    phi_sum = phi_sum_np
-    phi_stable = phi_stable_np
-    maxpro_sum = maxpro_sum_np
-# the delta kernels only read cached rows, so both modes share the NumPy ones
-phi_delta = phi_delta_np
-maxpro_delta = maxpro_delta_np
-
-
 def warm_up() -> None:
-    """Force JIT compilation of every kernel on a toy design."""
-    X = np.array([[1, 2], [2, 1], [3, 3]], dtype=np.int64)
-    for q in (1, 2):
-        dist_matrix(X, q)
-        phi_sum(X, 15.0, q)
-        phi_stable(X, 15.0, q)
-        phi_delta(gap_power_sums(X, q), X, 0, 0, 1, 15.0, q, 1.0)
-    maxpro_sum(X)
-    maxpro_delta(gap_products(X, X), X, 0, 0, 1, 1.0)
+    """Prepare the kernels before timed work: a no-op, since NumPy kernels
+    need no compilation and build their cached index arrays on first use."""
 
 
 IMPLEMENTATIONS = {
     "numpy": {
-        "dist_matrix": dist_matrix_np,
-        "phi_sum": phi_sum_np,
-        "phi_stable": phi_stable_np,
-        "phi_delta": phi_delta_np,
-        "maxpro_sum": maxpro_sum_np,
-        "maxpro_delta": maxpro_delta_np,
+        "dist_matrix": dist_matrix,
+        "phi_sum": phi_sum,
+        "phi_stable": phi_stable,
+        "phi_delta": phi_delta,
+        "maxpro_sum": maxpro_sum,
+        "maxpro_delta": maxpro_delta,
     }
 }
-if NUMBA_ENABLED:
-    IMPLEMENTATIONS["numba"] = {
-        "dist_matrix": _dist_matrix_nb,
-        "phi_sum": _phi_sum_nb,
-        "phi_stable": _phi_stable_nb,
-        "phi_delta": phi_delta_np,
-        "maxpro_sum": _maxpro_sum_nb,
-        "maxpro_delta": maxpro_delta_np,
-    }
 
-ACTIVE = "numba" if NUMBA_ENABLED else "numpy"
+ACTIVE = "numpy"

@@ -47,22 +47,23 @@ class BenchmarkSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
         try:
-            grid = tuple((int(n), int(k)) for n, k in d["grid"])
-            algorithms = tuple(str(a) for a in d["algorithms"])
-            criterion = CriterionSpec.from_dict(d.get("criterion", {"kind": "phi_p"}))
             spec = cls(
-                grid=grid,
-                algorithms=algorithms,
-                criterion=criterion,
-                replications=int(d["replications"]),
-                budget=int(d["budget"]),
-                base_seed=int(d["base_seed"]),
+                grid=tuple((_integer(n, "grid"), _integer(k, "grid")) for n, k in d["grid"]),
+                algorithms=tuple(str(a) for a in d["algorithms"]),
+                criterion=CriterionSpec.from_dict(d.get("criterion", {"kind": "phi_p"})),
+                replications=_integer(d["replications"], "replications"),
+                budget=_integer(d["budget"], "budget"),
+                base_seed=_integer(d["base_seed"], "base_seed"),
                 weight=d.get("weight"),
                 slices_t=d.get("slices_t"),
                 oa_name=d.get("oa"),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidConfigError(f"malformed benchmark spec: {e}") from e
+        if spec.slices_t is not None:
+            _integer(spec.slices_t, "slices_t")
+        if isinstance(spec.weight, bool) or not isinstance(spec.weight, (int, float, type(None))):
+            raise InvalidConfigError(f"weight must be a number, got {spec.weight!r}")
         if not spec.grid or not spec.algorithms:
             raise InvalidConfigError("benchmark spec needs a non-empty grid and algorithms")
         if spec.replications < 1 or spec.budget < 1:
@@ -81,6 +82,13 @@ class BenchmarkSpec:
     @classmethod
     def from_json(cls, path) -> "BenchmarkSpec":
         return cls.from_dict(read_json(path))
+
+
+def _integer(v, name: str) -> int:
+    """A JSON integer field: an int that is not a bool (floats are not truncated)."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidConfigError(f"{name} must be an integer, got {v!r}")
+    return v
 
 
 def cell_stream(algorithm: str, n: int, k: int, rep: int) -> int:

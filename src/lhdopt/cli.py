@@ -195,7 +195,6 @@ def _cmd_search(args) -> int:
         "elapsed_ms": result.elapsed * 1000.0,
         "config": result.config_echo,
         "criteria": _standard_criteria(result.best),
-        # a seeded run reproduces only within one kernel mode
         "kernels": _kernels.ACTIVE,
     }
     if result.extras:

@@ -56,6 +56,10 @@ class DimensionMismatchError(LhdError, ValueError):
 class UnknownNameError(LhdError, KeyError):
     """Name not present in the bundled catalog."""
 
+    def __str__(self) -> str:
+        # KeyError.__str__ would repr() the message, quotes included
+        return Exception.__str__(self)
+
 
 class InvalidDesignError(LhdError, ValueError):
     """A matrix failed Latin hypercube validation."""

@@ -175,13 +175,15 @@ def _result(budget: _Budget, started: float, echo: dict, extras: dict | None = N
 
 
 def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
-             budget: _Budget, propose_move, inspect: Inspect = None) -> None:
+             budget: _Budget, propose_move, inspect: Inspect = None,
+             on_commit=None) -> None:
     """Anneal until the budget runs out.
 
     Per move: ``propose_move`` picks (col, i, j); downhill and tying proposals
     are accepted outright, uphill ones with probability exp(-delta/T) (one
     uniform draw, taken only when delta > 0).  Temperature multiplies by
-    alpha every ``moves_per_temp`` moves.
+    alpha every ``moves_per_temp`` moves.  ``on_commit(col, i, j)`` runs after
+    each accepted swap is applied to ``ev``.
     """
     cur = ev.value()
     t = config.t0 if config.t0 is not None else 0.1 * cur
@@ -201,10 +203,23 @@ def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
         if accept:
             ev.commit(col, i, j)
             cur = cand
+            if on_commit is not None:
+                on_commit(col, i, j)
         budget.record(cand if accept else math.inf, ev.X)
         move += 1
         if move % mpt == 0:
             t *= config.alpha
+
+
+def _any_swap(gen: np.random.Generator, config: OptimizerConfig, n: int, k: int):
+    """Proposer of a swap of two uniform distinct rows within a column."""
+
+    def propose(move: int):
+        col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
+        i, j = two_distinct(gen, n)
+        return col, i, j
+
+    return propose
 
 
 def _init_sa(design: np.ndarray, spec: CriterionSpec, budget: _Budget,
@@ -228,13 +243,7 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     gen = config.seed.generator()
     budget = _Budget(config.max_evaluations)
     ev = _init_sa(random_lhd(n, k, gen), spec, budget, inspect)
-
-    def propose(move: int):
-        col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
-        i, j = two_distinct(gen, n)
-        return col, i, j
-
-    _sa_loop(ev, gen, config, budget, propose, inspect)
+    _sa_loop(ev, gen, config, budget, _any_swap(gen, config, n, k), inspect)
     return _result(budget, started, _echo(config, ev.spec, n, k))
 
 
@@ -324,78 +333,40 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     if inspect is not None:
         inspect(X.copy())
 
-    # stage 1: per-slice annealing on the collapsed m-run designs; one
-    # evaluation is always reserved for the assembled design
+    # stage 1: per-slice annealing on the collapsed m-run designs, each on its
+    # own share of the budget; one evaluation is reserved for the full design
     stage1_budget = min(config.max_evaluations // 2, config.max_evaluations - 1)
     per_slice = stage1_budget // t
     for s in range(t if per_slice >= 2 else 0):
         rows = slice_rows[s]
-        collapsed = (X[rows] + t - 1) // t
-        sub = Evaluator(collapsed, spec)
-        cur = sub.value()
-        budget.record(math.inf, X)  # collapsed evals count, best is full-design only
-        tt = config.t0 if config.t0 is not None else 0.1 * cur
-        mpt = config.moves_per_temp if config.moves_per_temp is not None else 10 * k
-        used = 1
-        move = 0
-        while used < per_slice and not budget.exhausted():
-            col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
-            i, j = two_distinct(gen, m)
-            cand = sub.propose(col, i, j)
-            used += 1
-            budget.record(math.inf, X)
-            delta = cand - cur
-            accept = delta <= 0.0
-            if not accept:
-                accept = tt > 0.0 and gen.random() < math.exp(-delta / tt)
-            if accept:
-                sub.commit(col, i, j)
-                cur = cand
-                ri, rj = rows[i], rows[j]
-                X[ri, col], X[rj, col] = X[rj, col], X[ri, col]
-                if inspect is not None:
-                    inspect(X.copy())
-            move += 1
-            if move % mpt == 0:
-                tt *= config.alpha
+
+        def apply_to_full(col: int, i: int, j: int) -> None:
+            ri, rj = rows[i], rows[j]
+            X[ri, col], X[rj, col] = X[rj, col], X[ri, col]
+            if inspect is not None:
+                inspect(X.copy())
+
+        sub = _Budget(per_slice)
+        collapsed = _init_sa((X[rows] + t - 1) // t, spec, sub, None)
+        _sa_loop(collapsed, gen, config, sub, _any_swap(gen, config, m, k),
+                 on_commit=apply_to_full)
+        budget.used += sub.used  # collapsed evals count, best is full-design only
 
     # stage 2: same-bin cross-slice swaps on the assembled design
-    if inspect is not None:
-        inspect(X.copy())
-    ev = Evaluator(X, spec)
-    budget.record(ev.value(), ev.X)
-    rowof = [np.empty(n, dtype=np.int64) for _ in range(k)]
-    for c in range(k):
-        rowof[c][X[:, c] - 1] = np.arange(n)
+    ev = _init_sa(X, spec, budget, inspect)
+    rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
-    cur = ev.value()
-    tt = config.t0 if config.t0 is not None else 0.1 * cur
-    mpt = config.moves_per_temp if config.moves_per_temp is not None else 10 * k
-    move = 0
-    while not budget.exhausted():
+    def propose(move: int):
         col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
         b = int(gen.integers(m))
         v1, v2 = two_distinct(gen, t)
-        i = int(rowof[col][b * t + v1])
-        j = int(rowof[col][b * t + v2])
-        if inspect is not None:
-            Xc = ev.X.copy()
-            Xc[i, col], Xc[j, col] = Xc[j, col], Xc[i, col]
-            inspect(Xc)
-        cand = ev.propose(col, i, j)
-        delta = cand - cur
-        accept = delta <= 0.0
-        if not accept:
-            accept = tt > 0.0 and gen.random() < math.exp(-delta / tt)
-        if accept:
-            vi, vj = ev.X[i, col], ev.X[j, col]
-            ev.commit(col, i, j)
-            cur = cand
-            rowof[col][vi - 1], rowof[col][vj - 1] = j, i
-        budget.record(cand if accept else math.inf, ev.X)
-        move += 1
-        if move % mpt == 0:
-            tt *= config.alpha
+        return col, int(rowof[col][b * t + v1]), int(rowof[col][b * t + v2])
+
+    def relink(col: int, i: int, j: int) -> None:
+        rowof[col][ev.X[i, col] - 1] = i
+        rowof[col][ev.X[j, col] - 1] = j
+
+    _sa_loop(ev, gen, config, budget, propose, inspect, relink)
 
     echo = _echo(config, ev.spec, n, k, slices={"t": t, "m": m})
     return _result(budget, started, echo, {"stage1_evaluations": min(stage1_budget, budget.used)})

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from lhdopt import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the numba kernels once so timed tests measure work, not JIT."""
-    _kernels.warm_up()
-
 
 @pytest.fixture
 def gen():

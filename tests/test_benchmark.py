@@ -41,6 +41,14 @@ class TestSpecParsing:
             small_spec(algorithms=["sa-multiobj"])  # missing weight
         with pytest.raises(InvalidConfigError):
             small_spec(replications=0)
+        # integer fields take JSON integers only; weight takes a number, not a bool
+        for field, value in [("grid", [[5.7, 2]]), ("grid", [[5, True]]),
+                             ("budget", 10.9), ("budget", "1500"),
+                             ("replications", 1.5), ("replications", True),
+                             ("base_seed", 1.5), ("slices_t", 2.0),
+                             ("weight", "0.5"), ("weight", True), ("weight", [0.5])]:
+            with pytest.raises(InvalidConfigError):
+                small_spec(**{field: value})
 
     def test_cell_streams_are_distinct_and_stable(self):
         s1 = cell_stream("sa", 4, 2, 1)
@@ -114,6 +122,15 @@ class TestBenchmarkCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"grid": [[4, 2]]}))
         assert main(["benchmark", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
+
+    def test_string_weight_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "grid": [[4, 2]], "algorithms": ["sa-multiobj"], "criterion": {"kind": "phi_p"},
+            "replications": 1, "budget": 600, "base_seed": 1, "weight": "0.5",
+        }))
+        assert main(["benchmark", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
+        assert "weight must be a number" in capsys.readouterr().err
 
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -109,6 +109,23 @@ class TestSearch:
                  "--budget", "10", "-o", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["search", "generate", "benchmark"])
+    def test_unknown_oa_message_unquoted(self, tmp_path, capsys, command):
+        out = str(tmp_path / "x.csv")
+        if command == "search":
+            args = ["search", "--alg", "oasa", "--oa", "nope", "--budget", "10", "-o", out]
+        elif command == "generate":
+            args = ["generate", "--construction", "oalhd", "--oa", "nope", "-o", out]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({
+                "grid": [[9, 4]], "algorithms": ["oasa"], "oa": "nope",
+                "replications": 1, "budget": 10, "base_seed": 1,
+            }))
+            args = ["benchmark", str(spec), "-o", out]
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("lhdopt: unknown catalog OA 'nope'")
+
     def test_seeded_rerun_byte_identical(self, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -4,8 +4,8 @@ Each run below has a fixed (seed, stream) and a small budget.  The test pins
 ``repr(value)``, the SHA-1 of ``best.tobytes()``, the SHA-1 of ``repr(trace)``
 and ``evaluations_used``, so any change to the order or grouping of the float
 operations behind a criterion update shows up here, not only in a tolerance
-check.  The pins hold for the NumPy kernel path; seeded runs reproduce within
-one kernel mode only (see ``lhdopt._kernels``).
+check.  The kernels have one implementation, so the pins hold on every
+install.
 
 Regenerate the table after an intended change of seeded outputs with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and say in the change log
@@ -20,7 +20,6 @@ from lhdopt import (
     CriterionSpec,
     OptimizerConfig,
     RngStream,
-    _kernels,
     ga_search,
     good_oa_catalog,
     lapso_search,
@@ -89,7 +88,6 @@ def fingerprint(result) -> tuple[str, str, str, int]:
             _sha1(repr(result.trace).encode()), int(result.evaluations_used))
 
 
-@pytest.mark.skipif(_kernels.ACTIVE != "numpy", reason="pins hold for the NumPy kernel path")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_seeded_output_is_pinned(name):
     assert fingerprint(RUNS[name]()) == GOLDEN[name]
