@@ -12,6 +12,11 @@ class TestFallbackPath:
             "maxpro_sum", "maxpro_delta",
         }
 
+    def test_delta_kernels_shared_by_modes(self):
+        for impl in _kernels.IMPLEMENTATIONS.values():
+            assert impl["phi_delta"] is _kernels.phi_delta
+            assert impl["maxpro_delta"] is _kernels.maxpro_delta
+
     def test_active_mode_consistent(self):
         assert _kernels.ACTIVE == "numpy"
         assert list(_kernels.IMPLEMENTATIONS) == ["numpy"]
