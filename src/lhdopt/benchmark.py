@@ -49,7 +49,7 @@ class BenchmarkSpec:
         try:
             spec = cls(
                 grid=tuple((_integer(n, "grid"), _integer(k, "grid")) for n, k in d["grid"]),
-                algorithms=tuple(str(a) for a in d["algorithms"]),
+                algorithms=_strings(d["algorithms"], "algorithms"),
                 criterion=CriterionSpec.from_dict(d.get("criterion", {"kind": "phi_p"})),
                 replications=_integer(d["replications"], "replications"),
                 budget=_integer(d["budget"], "budget"),
@@ -62,6 +62,8 @@ class BenchmarkSpec:
             raise InvalidConfigError(f"malformed benchmark spec: {e}") from e
         if spec.slices_t is not None:
             _integer(spec.slices_t, "slices_t")
+        if not isinstance(spec.oa_name, (str, type(None))):
+            raise InvalidConfigError(f"oa must be a catalog name string, got {spec.oa_name!r}")
         if isinstance(spec.weight, bool) or not isinstance(spec.weight, (int, float, type(None))):
             raise InvalidConfigError(f"weight must be a number, got {spec.weight!r}")
         if not spec.grid or not spec.algorithms:
@@ -89,6 +91,13 @@ def _integer(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise InvalidConfigError(f"{name} must be an integer, got {v!r}")
     return v
+
+
+def _strings(v, name: str) -> tuple[str, ...]:
+    """A JSON array of strings (a bare string is not iterated as characters)."""
+    if not isinstance(v, list) or not all(isinstance(a, str) for a in v):
+        raise InvalidConfigError(f"{name} must be a list of strings, got {v!r}")
+    return tuple(v)
 
 
 def cell_stream(algorithm: str, n: int, k: int, rep: int) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCoordinateError,
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
     UnsupportedExponentError,
@@ -31,9 +32,16 @@ from .errors import (
 
 KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 
-# swaps between full state refreshes of the incremental evaluator; refreshing
-# bounds float drift from long accept streams well below the 1e-10 contract
+# commits between recomputations of the incremental maxpro pair sum, which
+# bounds its float drift from long accept streams well below the 1e-10 contract
 _REFRESH_EVERY = 4096
+
+# a phi_p proposal whose scaled pair sum falls below this fraction of the
+# committed one, or rises above _RANGE, is evaluated in full (see _PhiState);
+# _RANGE must stay below the 2^900 cap of _kernels.phi_weights, so a capped
+# weight always takes the full path
+_CANCEL = 2.0 ** -10
+_RANGE = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,9 @@ class CriterionSpec:
             raise InvalidConfigError(
                 f"unknown criterion {self.kind!r}; expected one of {KINDS}"
             )
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
+        if isinstance(self.p, bool) or not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise InvalidConfigError(f"p must be a positive integer, got {self.p!r}")
-        if self.q not in (1, 2):
+        if isinstance(self.q, bool) or self.q not in (1, 2):
             raise UnsupportedExponentError(f"q must be 1 or 2, got {self.q!r}")
         if self.kind == "combo":
             if self.weight is None or not 0.0 <= float(self.weight) <= 1.0:
@@ -96,10 +104,10 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
     Computed with the smallest distance factored out, so large p cannot
     underflow the pair terms to zero.
     """
-    if p < 1 or not float(p).is_integer():
-        raise InvalidConfigError(f"p must be a positive integer, got {p}")
-    if q not in (1, 2):
-        raise UnsupportedExponentError(f"q must be 1 or 2, got {q}")
+    if isinstance(p, bool) or p < 1 or not float(p).is_integer():
+        raise InvalidConfigError(f"p must be a positive integer, got {p!r}")
+    if isinstance(q, bool) or q not in (1, 2):
+        raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
     X = np.ascontiguousarray(design, dtype=np.int64)
     return float(_kernels.phi_stable(X, float(p), q))
 
@@ -112,13 +120,24 @@ def maxpro_psi(design: np.ndarray) -> float:
     """
     X = np.ascontiguousarray(design, dtype=np.int64)
     n, k = X.shape
+    npairs = n * (n - 1) // 2
+    return float((_maxpro_total(X) / npairs) ** (1.0 / k))
+
+
+def _maxpro_total(X: np.ndarray) -> float:
+    """``maxpro_sum`` of an int64 design, with its failure flags raised as errors."""
     s = float(_kernels.maxpro_sum(X))
     if s < 0.0:
         raise DegenerateCoordinateError(
             "two rows share a level in some column; maxpro needs an LHD"
         )
-    npairs = n * (n - 1) // 2
-    return float((s / npairs) ** (1.0 / k))
+    if s == math.inf:
+        n, k = X.shape
+        raise InvalidDimensionError(
+            f"maxpro pair products overflow float64 at n={n}, k={k}; "
+            "use a smaller design or another criterion"
+        )
+    return s
 
 
 def _doubled_centered(design: np.ndarray) -> np.ndarray:
@@ -218,19 +237,90 @@ def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
     return weighted_objective(design, spec)
 
 
+class _PhiState:
+    """phi_p state keyed by the exact integer pair distances.
+
+    ``S`` holds every pair distance as an int64 (L1 for q=1, squared L2 for
+    q=2), ``H`` counts the row pairs a < b at each distance, and the weight
+    table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for q=2) factors out a
+    reference distance ``d_ref`` as ``phi_stable`` does, so no p underflows.
+    ``HW = H * W`` bin by bin; the committed scaled sum ``T = HW.sum()`` is a
+    function of the exact counts and cannot drift, and
+    phi_p = T^(1/p) / d_ref^(1/q).
+
+    A proposal adds ``phi_delta``'s gathered change to ``T``.  Two results
+    are evaluated in full instead: one that would leave ``T`` below
+    ``_CANCEL`` of its committed value, where cancellation eats the relative
+    precision, and one above ``_RANGE``, which a distance far below ``d_ref``
+    creates.  A commit that leaves ``T`` outside [1/_RANGE, _RANGE] moves
+    ``d_ref`` to the smallest committed distance and rebuilds ``W``.  The
+    table has k(n-1)^q + 1 entries.  Designs that repeat a level in a column
+    (not LHDs) can reach a zero distance, which ``W[0]`` cannot weight, so
+    their proposals are all evaluated in full and a committed zero distance
+    gives ``inf``.
+    """
+
+    def __init__(self, X: np.ndarray, p: int, q: int):
+        n, k = X.shape
+        self.q = int(q)
+        self.p = float(p)
+        self.e = self.p if self.q == 1 else self.p / 2.0
+        self.S = _kernels.gap_power_sums(X, self.q)
+        self.H = np.bincount(self.S[_kernels.pair_indices(n)], minlength=k * (n - 1) ** self.q + 1)
+        self.repeats_levels = bool((np.diff(np.sort(X, axis=0), axis=0) == 0).any())
+        self.signs = np.repeat(np.array([-1, 1], dtype=np.int64), 2 * n)
+        self._rescale()
+
+    def _rescale(self) -> None:
+        positive = np.flatnonzero(self.H[1:])
+        dref = int(positive[0]) + 1 if positive.size else 1
+        self.W = _kernels.phi_weights(self.H.size, dref, self.e)
+        self.root = dref if self.q == 1 else math.sqrt(dref)
+        self.HW = self.H * self.W
+        self._total()
+
+    def _total(self) -> None:
+        self.T = float(self.HW.sum())
+        self.value = math.inf if self.H[0] else self.T ** (1.0 / self.p) / self.root
+
+    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        dT, self.old, self.new = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
+        T = self.T + dT
+        if _CANCEL * self.T <= T <= _RANGE and not self.repeats_levels:
+            return T ** (1.0 / self.p) / self.root
+        Y = X.copy()
+        Y[[i, j], col] = Y[[j, i], col]
+        return float(_kernels.phi_stable(Y, self.p, self.q))
+
+    def commit(self, i: int, j: int) -> None:
+        """Apply the proposed swap of rows i, j to ``S``, ``H`` and ``T``."""
+        S, H, W, HW, new = self.S, self.H, self.W, self.HW, self.new
+        # old distances -1, new ones +1; read before S, which self.old views, changes
+        touched = np.concatenate((self.old, new), axis=None)
+        np.add.at(H, touched, self.signs)
+        HW[touched] = H[touched] * W[touched]
+        S[i] = S[:, i] = new[0]
+        S[j] = S[:, j] = new[1]
+        self._total()
+        if not 1.0 / _RANGE <= self.T <= _RANGE:
+            self._rescale()
+
+
 class Evaluator:
     """Incremental criterion evaluation under within-column swaps.
 
     Holds a private copy of the design and per-pair state that a swap only
-    changes in two rows: the pair gap sums ``S`` (phi_p, combo), the pair gap
-    products ``P`` (maxpro) and the doubled-centered levels ``Z`` (avgcor,
+    changes in two rows: the integer pair distances and their histogram
+    (phi_p, combo; see ``_PhiState``), the pair gap products ``P`` (maxpro)
+    and the doubled-centered levels ``Z`` with their Gram matrix (avgcor,
     maxcor, combo).  ``propose(col, i, j)`` returns the criterion value the
     design would have after swapping rows i and j in column col, reading two
     rows of the cache; ``commit`` applies the swap and updates those rows.
-    ``S`` and ``Z`` are integers and ``P`` is recomputed from the design, so
-    the caches never drift; the scalar sums are recomputed every few
-    thousand commits to keep additive float drift far below the 1e-10
-    agreement contract.
+    The phi_p state and ``G`` are exact integer counts and ``P`` is
+    recomputed from the design, so the caches never drift.  Only the maxpro
+    pair sum is a running float total; it is recomputed every
+    ``_REFRESH_EVERY`` commits.  phi_p agrees with full evaluation to 1e-10
+    relative for every accepted p (tested up to p = 400) and q.
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
@@ -238,40 +328,30 @@ class Evaluator:
         self.X = np.array(design, dtype=np.int64, order="C")
         self.n, self.k = self.X.shape
         self._npairs = self.n * (self.n - 1) // 2
-        self._p = float(spec.p)
         self._commits = 0
         self._cache_key = None
-        self._refresh()
-        if spec.kind in ("phi_p", "combo"):
-            self._S = _kernels.gap_power_sums(self.X, spec.q)
-        if spec.kind == "maxpro":
+        kind = spec.kind
+        if kind == "maxpro":
+            self._refresh()
             self._P = _kernels.gap_products(self.X, self.X)
-        if spec.kind in ("avgcor", "maxcor", "combo"):
+        if kind in ("avgcor", "maxcor", "combo"):
+            if kind != "combo" and self.k < 2:
+                raise TooFewColumnsError(f"need at least 2 columns, got k={self.k}")
             self._Z = _doubled_centered(self.X)
+            self._G = _gram(self.X)
+            self._v = self.n * (self.n * self.n - 1) // 3
             self._iu = _kernels.pair_indices(self.k)
-        if spec.kind == "combo" and spec.norm_upper is None:
+        if kind in ("phi_p", "combo"):
+            self._phi = _PhiState(self.X, spec.p, spec.q)
+        if kind == "combo" and spec.norm_upper is None:
             # pin U to the starting design so all later values share one scale
-            self.spec = replace(spec, norm_upper=self._phi_from_sp(self._sp))
+            self.spec = replace(spec, norm_upper=self._phi.value)
 
     # -- state ------------------------------------------------------------
 
     def _refresh(self) -> None:
-        spec = self.spec
-        if spec.kind in ("phi_p", "combo"):
-            self._sp = float(_kernels.phi_sum(self.X, self._p, spec.q))
-        if spec.kind == "maxpro":
-            s = float(_kernels.maxpro_sum(self.X))
-            if s < 0.0:
-                raise DegenerateCoordinateError("maxpro needs an LHD (no shared levels)")
-            self._ms = s
-        if spec.kind in ("avgcor", "maxcor", "combo"):
-            if spec.kind != "combo" and self.k < 2:
-                raise TooFewColumnsError(f"need at least 2 columns, got k={self.k}")
-            self._G = _gram(self.X)
-            self._v = self.n * (self.n * self.n - 1) // 3
-
-    def _phi_from_sp(self, sp: float) -> float:
-        return sp ** (1.0 / self.spec.p)
+        """Recompute the maxpro pair sum, the one running float total."""
+        self._ms = _maxpro_total(self.X)
 
     def _corr_stats(self, G: np.ndarray) -> tuple[float, float, float]:
         """(avg |r|, max |r|, avg r^2) over column pairs from a Gram matrix."""
@@ -284,15 +364,14 @@ class Evaluator:
     def _value_from(self, state) -> float:
         spec = self.spec
         if spec.kind == "phi_p":
-            return self._phi_from_sp(state)
+            return state
         if spec.kind == "maxpro":
             return (state / self._npairs) ** (1.0 / self.k)
         if spec.kind == "avgcor":
             return self._corr_stats(state)[0]
         if spec.kind == "maxcor":
             return self._corr_stats(state)[1]
-        sp, G = state
-        phi = self._phi_from_sp(sp)
+        phi, G = state
         w = float(spec.weight)
         return w * self._corr_stats(G)[2] + (1.0 - w) * _normalized_phi(
             phi, self.n, self.k, spec
@@ -301,12 +380,12 @@ class Evaluator:
     def _state(self):
         spec = self.spec
         if spec.kind == "phi_p":
-            return self._sp
+            return self._phi.value
         if spec.kind == "maxpro":
             return self._ms
         if spec.kind in ("avgcor", "maxcor"):
             return self._G
-        return (self._sp, self._G)
+        return (self._phi.value, self._G)
 
     def value(self) -> float:
         return self._value_from(self._state())
@@ -317,7 +396,7 @@ class Evaluator:
         spec = self.spec
         X = self.X
         if spec.kind == "phi_p":
-            return float(_kernels.phi_delta(self._S, X, col, i, j, self._p, spec.q, self._sp))
+            return self._phi.propose(X, col, i, j)
         if spec.kind == "maxpro":
             return float(_kernels.maxpro_delta(self._P, X, col, i, j, self._ms))
         # Gram update: only row/column `col` changes, diagonal is invariant
@@ -325,16 +404,12 @@ class Evaluator:
         dz = int(Z[j, col]) - int(Z[i, col])
         row = self._G[col] + dz * (Z[i] - Z[j])
         row[col] = self._G[col, col]
-        if spec.kind in ("avgcor", "maxcor"):
-            G = self._G.copy()
-            G[col, :] = row
-            G[:, col] = row
-            return G
-        sp = float(_kernels.phi_delta(self._S, X, col, i, j, self._p, spec.q, self._sp))
         G = self._G.copy()
         G[col, :] = row
         G[:, col] = row
-        return (sp, G)
+        if spec.kind in ("avgcor", "maxcor"):
+            return G
+        return (self._phi.propose(X, col, i, j), G)
 
     def propose(self, col: int, i: int, j: int) -> float:
         """Criterion value after the hypothetical swap; design unchanged."""
@@ -350,52 +425,25 @@ class Evaluator:
         if self._cache_key != (col, i, j):
             self.propose(col, i, j)
         state = self._cache_state
-        spec = self.spec
-        if spec.kind == "phi_p":
-            self._sp = state
-        elif spec.kind == "maxpro":
-            self._ms = state
-        elif spec.kind in ("avgcor", "maxcor"):
-            self._G = state
-        else:
-            self._sp, self._G = state
+        kind = self.spec.kind
         X = self.X
-        if spec.kind in ("phi_p", "combo"):
-            self._update_gap_sums(col, i, j)
-        if spec.kind in ("avgcor", "maxcor", "combo"):
+        if kind in ("phi_p", "combo"):
+            self._phi.commit(i, j)
+        if kind in ("avgcor", "maxcor", "combo"):
+            self._G = state[1] if kind == "combo" else state
             Z = self._Z
             Z[i, col], Z[j, col] = Z[j, col], Z[i, col]
         X[i, col], X[j, col] = X[j, col], X[i, col]
-        if spec.kind == "maxpro":
+        self._cache_key = None
+        if kind == "maxpro":
+            self._ms = state
             rows = [i, j]
             P = self._P
             P[rows] = _kernels.gap_products(X[rows], X)
             P[:, rows] = P[rows].T
-        self._cache_key = None
-        self._commits += 1
-        if self._commits % _REFRESH_EVERY == 0:
-            self._refresh()
-
-    def _update_gap_sums(self, col: int, i: int, j: int) -> None:
-        """Rows and columns i, j of ``S`` for the swap, from the design before it.
-
-        Against every other row l, row i trades its column-col gap |x_i - x_l|^q
-        for |x_j - x_l|^q and row j the reverse; the i-j pair is unchanged.
-        """
-        x = self.X[:, col]
-        gi = np.abs(x[i] - x)
-        gj = np.abs(x[j] - x)
-        if self.spec.q == 2:
-            gi = gi * gi
-            gj = gj * gj
-        delta = gj - gi
-        delta[i] = 0
-        delta[j] = 0
-        S = self._S
-        S[i] += delta
-        S[j] -= delta
-        S[:, i] = S[i]
-        S[:, j] = S[j]
+            self._commits += 1
+            if self._commits % _REFRESH_EVERY == 0:
+                self._refresh()
 
 
 def delta_after_exchange(

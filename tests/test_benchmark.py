@@ -41,12 +41,16 @@ class TestSpecParsing:
             small_spec(algorithms=["sa-multiobj"])  # missing weight
         with pytest.raises(InvalidConfigError):
             small_spec(replications=0)
-        # integer fields take JSON integers only; weight takes a number, not a bool
+        # integer fields take JSON integers only; weight takes a number, not a bool;
+        # algorithms is a list of strings, oa a string; exponents are not bools
         for field, value in [("grid", [[5.7, 2]]), ("grid", [[5, True]]),
                              ("budget", 10.9), ("budget", "1500"),
                              ("replications", 1.5), ("replications", True),
                              ("base_seed", 1.5), ("slices_t", 2.0),
-                             ("weight", "0.5"), ("weight", True), ("weight", [0.5])]:
+                             ("weight", "0.5"), ("weight", True), ("weight", [0.5]),
+                             ("algorithms", "sa"), ("algorithms", ["sa", 1]), ("oa", 5),
+                             ("criterion", {"kind": "phi_p", "p": True}),
+                             ("criterion", {"kind": "phi_p", "q": True})]:
             with pytest.raises(InvalidConfigError):
                 small_spec(**{field: value})
 

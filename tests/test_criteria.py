@@ -21,6 +21,7 @@ from lhdopt.criteria import Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy
 from lhdopt.errors import (
     DegenerateCoordinateError,
     InvalidConfigError,
+    InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
     UnsupportedExponentError,
@@ -74,6 +75,31 @@ class TestPhiP:
         with pytest.raises(InvalidConfigError):
             phi_p(np.array([[1], [2]]), p=0)
 
+    def test_bool_exponents_rejected(self):
+        # isinstance(True, int) holds, but True is not an exponent
+        with pytest.raises(InvalidConfigError):
+            CriterionSpec("phi_p", p=True)
+        with pytest.raises(InvalidConfigError):
+            phi_p(np.array([[1], [2]]), p=True)
+        with pytest.raises(UnsupportedExponentError):
+            CriterionSpec("phi_p", q=True)
+        with pytest.raises(UnsupportedExponentError):
+            phi_p(np.array([[1], [2]]), q=True)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_equal_rows_are_infinite(self, q):
+        spec = CriterionSpec("phi_p", q=q)
+        X = np.array([[1, 2], [1, 2], [3, 1]])
+        assert phi_p(X, q=q) == np.inf
+        assert Evaluator(X, spec).value() == np.inf
+        # repeated levels, distinct rows: a swap can make two rows equal and back
+        Y = np.array([[1, 2], [1, 3], [2, 2]])
+        ev = Evaluator(Y, spec)
+        assert ev.propose(1, 1, 2) == np.inf  # row 1 becomes [1, 2], equal to row 0
+        ev.commit(1, 1, 2)
+        assert ev.value() == np.inf
+        assert ev.propose(1, 1, 2) == pytest.approx(phi_p(Y, q=q), rel=1e-12)
+
 
 class TestMaxpro:
     def test_trivial_pairs(self):
@@ -95,6 +121,16 @@ class TestMaxpro:
     def test_degenerate_coordinate(self):
         with pytest.raises(DegenerateCoordinateError):
             maxpro_psi(np.array([[1, 1], [1, 2]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_pair_product_raises(self):
+        # rows 1 and 40 differ by 39 in all 97 columns: 39^194 > 1.8e308
+        X = np.tile(np.arange(1, 41)[:, None], (1, 97))
+        with pytest.raises(InvalidDimensionError):
+            maxpro_psi(X)
+        with pytest.raises(InvalidDimensionError):
+            Evaluator(X, CriterionSpec("maxpro"))
+        assert np.isfinite(maxpro_psi(X[:, :96]))  # 39^192 < 1.8e308
 
 
 class TestCorrelations:

@@ -1,10 +1,13 @@
 """Property tests of the incremental evaluator's cached per-pair state.
 
 A stream of proposals, some committed and some not (including the no-op
-swap i == j), must leave the cached gap sums, gap products, centered levels
-and Gram matrix exactly equal to those of a fresh evaluator on the same
-design, and every proposal must agree with full evaluation.
+swap i == j), must leave the cached pair distances and their histogram, gap
+products, centered levels and Gram matrix exactly equal to those of a fresh
+evaluator on the same design, and every proposal must agree with full
+evaluation, over phi_p exponents 1..400 and both distances.
 """
+
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,11 +18,11 @@ from lhdopt import CriterionSpec, exchange
 from lhdopt.criteria import KINDS, Evaluator, evaluate
 
 CACHES = {
-    "phi_p": ("_S",),
+    "phi_p": ("_phi.S", "_phi.H"),
     "maxpro": ("_P",),
     "avgcor": ("_Z", "_G"),
     "maxcor": ("_Z", "_G"),
-    "combo": ("_S", "_Z", "_G"),
+    "combo": ("_phi.S", "_phi.H", "_Z", "_G"),
 }
 
 
@@ -27,10 +30,12 @@ CACHES = {
 def streams(draw):
     kind = draw(st.sampled_from(KINDS))
     q = draw(st.sampled_from((1, 2)))
-    n = draw(st.integers(2, 14))
+    p = draw(st.one_of(st.sampled_from((1, 15, 50, 200, 400)), st.integers(1, 400)))
+    n = draw(st.integers(2, 60))
     k = draw(st.integers(2 if kind in ("avgcor", "maxcor") else 1, 6))
     X = np.column_stack([draw(st.permutations(range(1, n + 1))) for _ in range(k)])
-    spec = CriterionSpec(kind, q=q, weight=draw(st.floats(0.0, 1.0)) if kind == "combo" else None)
+    spec = CriterionSpec(kind, p=p, q=q,
+                         weight=draw(st.floats(0.0, 1.0)) if kind == "combo" else None)
     moves = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1),
                                     st.integers(0, n - 1), st.booleans()), max_size=30))
     return X.astype(np.int64), spec, moves
@@ -47,7 +52,59 @@ def test_cached_state_matches_fresh_evaluator(case):
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
         if commit:
             ev.commit(col, i, j)
+    assert_matches_fresh(ev)
+
+
+def assert_matches_fresh(ev):
     fresh = Evaluator(ev.X, ev.spec)
-    for name in CACHES[spec.kind]:
-        assert np.array_equal(getattr(ev, name), getattr(fresh, name)), name
+    for name in CACHES[ev.spec.kind]:
+        assert np.array_equal(attrgetter(name)(ev), attrgetter(name)(fresh)), name
     assert ev.value() == pytest.approx(evaluate(ev.X, ev.spec), rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("spec", [
+    CriterionSpec("phi_p", p=15, q=1),
+    CriterionSpec("phi_p", p=400, q=2),
+    CriterionSpec("combo", p=50, q=1, weight=0.5),
+    CriterionSpec("maxpro"),
+], ids=lambda s: f"{s.kind}-p{s.p}-q{s.q}")
+def test_long_accept_stream(spec):
+    # more commits than the maxpro refresh interval, every proposal checked
+    gen = np.random.default_rng(4242)
+    n, k = 20, 5
+    X = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
+    ev = Evaluator(X, spec)
+    commits = 0
+    while commits < 4200:
+        col, i, j = int(gen.integers(k)), int(gen.integers(n)), int(gen.integers(n))
+        got = ev.propose(col, i, j)
+        want = evaluate(exchange(ev.X, col, i, j), ev.spec)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+        if gen.random() < 0.9:
+            ev.commit(col, i, j)
+            commits += 1
+    assert_matches_fresh(ev)
+
+
+def test_reference_distance_follows_a_growing_minimum():
+    # q=2, p=400: rows 0 and 1 start one level apart in every column (squared
+    # distance 6) and the target's smallest squared distance is 470, so
+    # (6/470)^200 underflows; the commits must move d_ref to keep the live
+    # weights in range
+    gen = np.random.default_rng(4)
+    n, k = 100, 6
+    target = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
+    X, moves = target.copy(), []
+    for col in range(k):
+        level = X[0, col] + 1 if X[0, col] < n else X[0, col] - 1
+        r = int(np.flatnonzero(X[:, col] == level)[0])
+        X = exchange(X, col, 1, r)
+        moves.append((col, 1, r))
+    spec = CriterionSpec("phi_p", p=400, q=2)
+    ev = Evaluator(X, spec)
+    for col, i, j in reversed(moves):
+        want = evaluate(exchange(ev.X, col, i, j), spec)
+        assert ev.propose(col, i, j) == pytest.approx(want, rel=1e-10)
+        ev.commit(col, i, j)
+    assert np.array_equal(ev.X, target)
+    assert_matches_fresh(ev)

@@ -68,14 +68,14 @@ GOLDEN = {
     'lapso-maxpro': ('0.12644346373668244', 'f4f71d08147ae63a4cd3939131ab89f1a14fb8c5', 'e418afdb2f87dc3a1d447ad92552e6780abb4311', 300),
     'lapso-phi_p-44x6': ('0.030417675709177548', 'b126de4a35c60b6e648b6012f802ae4f3a666dc8', 'ce50acba943be0a6dcef6b19ba1f41ecf4c69694', 200),
     'lapso-phi_p-q2': ('0.17175417460441997', 'eeb59f93dd8d5abe79cbf5a375be163580067fc5', '97efdfb7edd2ab2c8436f2b13f810e49a6591c9d', 300),
-    'oasa-OA(25,6,5,2)': ('0.03945502137471286', '18cd467acc9a31687258c719dec8d2a58f10ec47', '958ad1d48c32b521ca5412baa102aa029205672d', 2000),
+    'oasa-OA(25,6,5,2)': ('0.03945502137471287', '18cd467acc9a31687258c719dec8d2a58f10ec47', '02cebaa71d20cc82795092da444fb96802c65d7d', 2000),
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),
     'sa-maxcor': ('0.055944055944055944', '9d55895a2c66f415f7fc4fc42e93478a1860d60b', '42624b452e98e4daeac0e2ca6c4bb5eb1e0d8ed9', 2000),
     'sa-maxpro': ('0.11133711034466161', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '8b90e773a2e54581d78bf8d77231ff88849e2b11', 3000),
-    'sa-multiobj-w0.5': ('0.1049626981588223', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', '71f320cff30b6579864efb5f6bf5b3efe4e4b759', 2000),
-    'sa-phi_p-q1': ('0.08828957154317478', 'afeec13a750c6ad688d8b3bb9f31d00dedbfc446', '1f73000099227c7e794e4de27eb1e152ebfe4bc5', 3000),
-    'sa-phi_p-q2': ('0.15069022945555352', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', '6d8cf2918d23c7a3fd6ff9837470726481ea283a', 3000),
-    'sa-sliced': ('0.1869977463060481', '4655452997dd814cfa3012fc466663eb35e0d962', 'e1ca77148da368e0a24502b6a4e4ee738683b2d7', 2000),
+    'sa-multiobj-w0.5': ('0.10496269815901585', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', '1c9abbbe9a7de27c8cd6cb036e3cb668dc4dd012', 2000),
+    'sa-phi_p-q1': ('0.08828957155093273', 'afeec13a750c6ad688d8b3bb9f31d00dedbfc446', '13fa4aa7171ab0ea51600344fbc2c4afb1efc4ec', 3000),
+    'sa-phi_p-q2': ('0.15069022945558147', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', 'ce1197dd790546f287751ef4764da936d013f98c', 3000),
+    'sa-sliced': ('0.17250598397059105', '78410b55c5b6b049ff158c8b207b3c7607aa7027', 'dd7c55e671eae7ebbb142f5e2ab2d5264c13c6d2', 2000),
 }
 
 

@@ -120,6 +120,15 @@ class TestSa:
         r = sa_search(5, 2, PHI, cfg("sa", budget=2000, column_mode="random"))
         assert validate(r.best).ok
 
+    @pytest.mark.parametrize("n,k,p", [(16, 5, 50), (60, 10, 200)])
+    def test_large_p_reports_exact_value(self, n, k, p):
+        # regressions of the raw pair-sum state: p=50 at 16x5 raised a TypeError
+        # (a drifted negative sum to the power 1/p), p=200 at 60x10 reported 0.0
+        spec = CriterionSpec("phi_p", p=p)
+        r = sa_search(n, k, spec, cfg("sa", budget=4000, column_mode="random"))
+        assert r.value > 0.0
+        assert r.value == pytest.approx(evaluate(r.best, spec), rel=1e-10)
+
 
 class TestOasa:
     def test_every_visited_design_collapses(self):
