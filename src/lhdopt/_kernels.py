@@ -16,9 +16,9 @@ swapped column, all taken *before* the swap.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
-``W[d] = (d_ref/d)^e`` (``phi_weights``, k(n-1)^q + 1 entries) indexed by
-those integers instead of raising each distance to a power; the evaluator
-keeps the matching histogram of distances (``criteria._PhiState``).  With
+``W[d] = (d_ref/d)^e`` (``phi_weights``, covering the distances up to 5/4
+of the largest live one) indexed by those integers instead of raising each
+distance to a power (``criteria._PhiState`` keeps the table).  With
 ``d_ref`` near the smallest distance no p underflows; the evaluator is
 tested to agree with ``phi_stable`` to 1e-10 for 1 <= p <= 400.
 ``phi_sum`` is the plain sum of d^-p, which underflows at large p; nothing
@@ -119,28 +119,18 @@ def phi_weights(size: int, dref: int, e: float) -> np.ndarray:
 _ROW_SIGNS = np.array([[1], [-1]], dtype=np.int64)
 
 
-def _row_pair(S: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Rows i and j of ``S`` as a (2, n) array: a strided view by basic
-    slicing (no gather) unless i == j."""
-    step = j - i
-    if step > 0:
-        return S[i:j + 1:step]
-    if step < 0:
-        return S[i:(j - 1 if j else None):step]
-    return S[[i, i]]
-
-
 def phi_delta(S: np.ndarray, W: np.ndarray, x: np.ndarray, i: int, j: int,
-              q: int) -> tuple[float, np.ndarray, np.ndarray]:
+              q: int) -> tuple[float, np.ndarray]:
     """Change of the weighted pair sum when rows i, j swap their entries of
-    the column ``x``, with rows i, j of ``S`` before (a view) and after.
+    the column ``x``, and rows i, j of ``S`` after the swap.
 
     ``S`` is the int64 ``gap_power_sums`` of the design before the swap and
-    ``W`` a ``phi_weights`` table covering every distance.  Against each
-    other row l, row i trades |x_i - x_l|^q for |x_j - x_l|^q, a change
-    ``delta[l]``, and row j the reverse.  ``delta`` is 0 at i and j, and
-    ``W[0]`` weights the diagonal, so the gather over both full rows adds
-    exactly 0 for every pair the swap leaves unchanged; no mask is needed.
+    ``W`` a ``phi_weights`` table.  Against each other row l, row i trades
+    |x_i - x_l|^q for |x_j - x_l|^q, a change ``delta[l]``, and row j the
+    reverse.  ``delta`` is 0 at i and j, and ``W[0]`` weights the diagonal,
+    so the gather over both full rows adds exactly 0 for every pair the swap
+    leaves unchanged; no mask is needed.  A new distance past the end of
+    ``W`` reads its last entry, so a ``NaN`` there makes the change ``NaN``.
     """
     xi, xj = x[i], x[j]
     if q == 1:
@@ -149,9 +139,9 @@ def phi_delta(S: np.ndarray, W: np.ndarray, x: np.ndarray, i: int, j: int,
         delta = (xi - xj) * (2 * x - (xi + xj))  # (x - xj)^2 - (x - xi)^2
     delta[i] = 0
     delta[j] = 0
-    rows = _row_pair(S, i, j)
+    rows = S[[i, j]]
     new = rows + delta * _ROW_SIGNS
-    return float((W[new] - W[rows]).sum()), rows, new
+    return float((W.take(new, mode="clip") - W[rows]).sum()), new
 
 
 def maxpro_sum(X: np.ndarray) -> float:

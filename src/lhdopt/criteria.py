@@ -36,6 +36,11 @@ KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 # bounds its float drift from long accept streams well below the 1e-10 contract
 _REFRESH_EVERY = 4096
 
+# most commits between recomputations of the phi_p pair sum from the exact
+# distances (see _PhiState): in between, a commit rounds by at most about
+# 240 eps of the sum for n <= 1024, so 1024 commits stay below 6e-11
+_PHI_RESUM = 1024
+
 # a phi_p proposal whose scaled pair sum falls below this fraction of the
 # committed one, or rises above _RANGE, is evaluated in full (see _PhiState);
 # _RANGE must stay below the 2^900 cap of _kernels.phi_weights, so a capped
@@ -241,86 +246,114 @@ class _PhiState:
     """phi_p state keyed by the exact integer pair distances.
 
     ``S`` holds every pair distance as an int64 (L1 for q=1, squared L2 for
-    q=2), ``H`` counts the row pairs a < b at each distance, and the weight
-    table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for q=2) factors out a
-    reference distance ``d_ref`` as ``phi_stable`` does, so no p underflows.
-    ``HW = H * W`` bin by bin; the committed scaled sum ``T = HW.sum()`` is a
-    function of the exact counts and cannot drift, and
-    phi_p = T^(1/p) / d_ref^(1/q).
+    q=2).  The weight table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for
+    q=2) factors out a reference distance ``d_ref`` as ``phi_stable`` does,
+    so no p underflows, and phi_p = T^(1/p) / d_ref^(1/q) for the scaled
+    pair sum ``T``, the sum of ``W`` over the distances.
 
-    A proposal adds ``phi_delta``'s gathered change to ``T``.  Two results
-    are evaluated in full instead: one that would leave ``T`` below
-    ``_CANCEL`` of its committed value, where cancellation eats the relative
-    precision, and one above ``_RANGE``, which a distance far below ``d_ref``
-    creates.  A commit that leaves ``T`` outside [1/_RANGE, _RANGE] moves
-    ``d_ref`` to the smallest committed distance and rebuilds ``W``.  The
-    table has k(n-1)^q + 1 entries.  Designs that repeat a level in a column
-    (not LHDs) can reach a zero distance, which ``W[0]`` cannot weight, so
-    their proposals are all evaluated in full and a committed zero distance
-    gives ``inf``.
+    The table covers the distances up to 5/4 of the largest one at the
+    start, never past the largest that within-column swaps can reach (the
+    sum over columns of range^q, k(n-1)^q for an LHD), and ends in a
+    ``NaN``.  A proposal that creates a longer distance reads that ``NaN``
+    and is evaluated in full, and its commit extends the table.
+
+    A proposal adds ``phi_delta``'s gathered change to ``T``.  A result
+    below ``_CANCEL`` of the committed ``T`` (cancellation eats the relative
+    precision), above ``_RANGE`` (a distance far below ``d_ref``) or ``NaN``
+    is evaluated in full instead.  A commit adds the change to ``T``, which
+    is recomputed from ``S`` (an O(n^2) gather) every ``_PHI_RESUM``
+    commits, after a proposal evaluated in full, and when ``T`` falls below
+    half its largest value since the last recomputation.  In between, a
+    commit's change sums 4n terms, each pair's old and new weight, whose
+    total is at most four times that largest value; so a commit rounds
+    ``T`` by at most about 240 eps of its value for n <= 1024, and
+    ``_PHI_RESUM`` commits stay within 6e-11.  A recomputed ``T`` outside
+    [1/_RANGE, _RANGE] moves ``d_ref`` to the smallest distance and rebuilds
+    ``W``.  Designs that repeat a level in a column (not LHDs) can reach a
+    zero distance, which ``W[0]`` cannot weight, so their proposals are all
+    evaluated in full and a zero distance gives ``inf``.
     """
 
     def __init__(self, X: np.ndarray, p: int, q: int):
-        n, k = X.shape
+        n = X.shape[0]
         self.q = int(q)
         self.p = float(p)
         self.e = self.p if self.q == 1 else self.p / 2.0
         self.S = _kernels.gap_power_sums(X, self.q)
-        self.H = np.bincount(self.S[_kernels.pair_indices(n)], minlength=k * (n - 1) ** self.q + 1)
+        self.pairs = _kernels.pair_indices(n)
+        self.reach = int((np.ptp(X, axis=0) ** self.q).sum())
         self.repeats_levels = bool((np.diff(np.sort(X, axis=0), axis=0) == 0).any())
-        self.signs = np.repeat(np.array([-1, 1], dtype=np.int64), 2 * n)
+        self._fit(int(self.S.max()))
+
+    def _fit(self, top: int) -> None:
+        """Size ``W`` to 5/4 of the distances up to ``top`` and rebuild it."""
+        self.size = min(top + top // 4, self.reach) + 1
         self._rescale()
 
     def _rescale(self) -> None:
-        positive = np.flatnonzero(self.H[1:])
-        dref = int(positive[0]) + 1 if positive.size else 1
-        self.W = _kernels.phi_weights(self.H.size, dref, self.e)
+        """Move ``d_ref`` to the smallest positive distance and rebuild ``W``
+        and ``T``, which is then at least 1 (0 if no distance is positive)."""
+        d = self.S[self.pairs]
+        positive = d[d > 0]
+        dref = int(positive.min()) if positive.size else 1
+        self.W = _kernels.phi_weights(self.size + 1, dref, self.e)
+        self.W[-1] = math.nan
         self.root = dref if self.q == 1 else math.sqrt(dref)
-        self.HW = self.H * self.W
-        self._total()
+        self._sum()
 
-    def _total(self) -> None:
-        self.T = float(self.HW.sum())
-        self.value = math.inf if self.H[0] else self.T ** (1.0 / self.p) / self.root
+    def _sum(self) -> None:
+        """Recompute ``T`` from ``S``, which holds each pair twice."""
+        self.T = self.peak = float(self.W.take(self.S).sum()) / 2.0
+        self.since = 0
+        if self.repeats_levels and (self.S[self.pairs] == 0).any():
+            self.value = math.inf
+        else:
+            self.value = self.T ** (1.0 / self.p) / self.root
 
     def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        dT, self.old, self.new = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
-        T = self.T + dT
-        if _CANCEL * self.T <= T <= _RANGE and not self.repeats_levels:
+        self.dT, self.new = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
+        T = self.T + self.dT
+        self.fast = _CANCEL * self.T <= T <= _RANGE and not self.repeats_levels
+        if self.fast:
             return T ** (1.0 / self.p) / self.root
         Y = X.copy()
         Y[[i, j], col] = Y[[j, i], col]
         return float(_kernels.phi_stable(Y, self.p, self.q))
 
     def commit(self, i: int, j: int) -> None:
-        """Apply the proposed swap of rows i, j to ``S``, ``H`` and ``T``."""
-        S, H, W, HW, new = self.S, self.H, self.W, self.HW, self.new
-        # old distances -1, new ones +1; read before S, which self.old views, changes
-        touched = np.concatenate((self.old, new), axis=None)
-        np.add.at(H, touched, self.signs)
-        HW[touched] = H[touched] * W[touched]
+        """Apply the proposed swap of rows i, j to ``S`` and ``T``."""
+        S, new = self.S, self.new
         S[i] = S[:, i] = new[0]
         S[j] = S[:, j] = new[1]
-        self._total()
-        if not 1.0 / _RANGE <= self.T <= _RANGE:
-            self._rescale()
+        T = self.T + self.dT
+        self.since += 1
+        if math.isnan(self.dT):
+            self._fit(int(new.max()))
+        elif self.fast and self.since < _PHI_RESUM and T >= max(self.peak / 2.0, 1.0 / _RANGE):
+            self.T, self.peak = T, max(self.peak, T)
+            self.value = T ** (1.0 / self.p) / self.root
+        else:
+            self._sum()
+            if not 1.0 / _RANGE <= self.T <= _RANGE:
+                self._rescale()
 
 
 class Evaluator:
     """Incremental criterion evaluation under within-column swaps.
 
     Holds a private copy of the design and per-pair state that a swap only
-    changes in two rows: the integer pair distances and their histogram
-    (phi_p, combo; see ``_PhiState``), the pair gap products ``P`` (maxpro)
-    and the doubled-centered levels ``Z`` with their Gram matrix (avgcor,
-    maxcor, combo).  ``propose(col, i, j)`` returns the criterion value the
-    design would have after swapping rows i and j in column col, reading two
-    rows of the cache; ``commit`` applies the swap and updates those rows.
-    The phi_p state and ``G`` are exact integer counts and ``P`` is
-    recomputed from the design, so the caches never drift.  Only the maxpro
-    pair sum is a running float total; it is recomputed every
-    ``_REFRESH_EVERY`` commits.  phi_p agrees with full evaluation to 1e-10
-    relative for every accepted p (tested up to p = 400) and q.
+    changes in two rows: the integer pair distances (phi_p, combo; see
+    ``_PhiState``), the pair gap products ``P`` (maxpro) and the
+    doubled-centered levels ``Z`` with their Gram matrix (avgcor, maxcor,
+    combo).  ``propose(col, i, j)`` returns the criterion value the design
+    would have after swapping rows i and j in column col, reading two rows
+    of the cache; ``commit`` applies the swap and updates those rows.  The
+    pair distances and ``G`` are exact integers and ``P`` is recomputed from
+    the design, so the caches never drift.  The two running float totals
+    are recomputed from them: the phi_p pair sum at least every
+    ``_PHI_RESUM`` commits, the maxpro pair sum every ``_REFRESH_EVERY``.
+    phi_p agrees with full evaluation to 1e-10 relative for every accepted
+    p (tested up to p = 400) and q.
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):

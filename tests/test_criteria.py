@@ -243,6 +243,16 @@ class TestDeltaAfterExchange:
             phi_p(swapped), rel=1e-12
         )
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_levels_beyond_n(self, q):
+        # levels span more than n-1, so the swap creates a pair distance
+        # (18 for q=1) past every distance of the starting design
+        X = np.array([[1, 5], [10, 1], [5, 10]])
+        spec = CriterionSpec("phi_p", q=q)
+        assert delta_after_exchange(X, spec, 1, 0, 2) == pytest.approx(
+            evaluate(exchange(X, 1, 0, 2), spec), rel=1e-10
+        )
+
     @pytest.mark.parametrize("kind", ["phi_p", "maxpro", "avgcor", "maxcor", "combo"])
     def test_agrees_with_full_evaluation(self, gen, kind):
         for _ in range(250):

@@ -72,10 +72,10 @@ GOLDEN = {
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),
     'sa-maxcor': ('0.055944055944055944', '9d55895a2c66f415f7fc4fc42e93478a1860d60b', '42624b452e98e4daeac0e2ca6c4bb5eb1e0d8ed9', 2000),
     'sa-maxpro': ('0.11133711034466161', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '8b90e773a2e54581d78bf8d77231ff88849e2b11', 3000),
-    'sa-multiobj-w0.5': ('0.10496269815901585', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', '1c9abbbe9a7de27c8cd6cb036e3cb668dc4dd012', 2000),
+    'sa-multiobj-w0.5': ('0.10496269815901585', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', 'c14adb436ee31f2819a5bff7ef38ab8a4327a40c', 2000),
     'sa-phi_p-q1': ('0.08828957155093273', 'afeec13a750c6ad688d8b3bb9f31d00dedbfc446', '13fa4aa7171ab0ea51600344fbc2c4afb1efc4ec', 3000),
-    'sa-phi_p-q2': ('0.15069022945558147', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', 'ce1197dd790546f287751ef4764da936d013f98c', 3000),
-    'sa-sliced': ('0.17250598397059105', '78410b55c5b6b049ff158c8b207b3c7607aa7027', 'dd7c55e671eae7ebbb142f5e2ab2d5264c13c6d2', 2000),
+    'sa-phi_p-q2': ('0.15069022945558147', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', '478b6d0d9670d36a58a9004cd9369ac31dd537d6', 3000),
+    'sa-sliced': ('0.18066595823330703', 'babed3c1f5539cc0e996d155b7c6c616e994950a', '5c5257a277f2882c5f6928d263d4babfe7e6ba37', 2000),
 }
 
 
