@@ -10,9 +10,10 @@ The full-design kernels reduce the C(n,2) x k gaps ``X[a] - X[b]`` over the
 row pairs a < b of ``pair_indices(n)``, so no n x n x k tensor is built.  All
 kernels take the design as an int64 array of levels 1..n and treat a "swap"
 as exchanging rows ``i`` and ``j`` within column ``col``.  The O(n) delta
-kernels read the per-pair state that ``criteria.Evaluator`` caches between
-moves (``gap_power_sums`` for phi_p, ``gap_products`` for maxpro) and the
-swapped column, all taken *before* the swap.
+kernels read the per-pair state that the annealer states of
+``criteria.Evaluator`` keep between moves (``gap_power_sums`` for phi_p,
+``gap_products`` of the transposed design for maxpro) and the swapped
+column, all taken *before* the swap.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
@@ -35,17 +36,23 @@ import numpy as np
 
 def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
     """n x n int64 matrix of sum_l |x_il - x_jl|^q: the L1 distance for q=1,
-    the squared L2 distance for q=2."""
-    diff = np.abs(X[:, None, :] - X[None, :, :])
-    if q == 1:
-        return diff.sum(axis=2)
-    return (diff * diff).sum(axis=2)
+    the squared L2 distance for q=2.  Built one column at a time, so the
+    temporaries stay n x n."""
+    n = X.shape[0]
+    S = np.zeros((n, n), dtype=np.int64)
+    for x in X.T:
+        d = np.abs(x[:, None] - x)
+        S += d if q == 1 else d * d
+    return S
 
 
 def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Products prod_l (a_rl - x_sl)^2 for every row r of A and row s of X."""
-    diff = (A[:, None, :] - X[None, :, :]).astype(np.float64)
-    return (diff * diff).prod(axis=2)
+    """Products prod_l (a_lr - x_ls)^2 for every column r of A and column s
+    of X, two transposed (k-row) designs of float64 levels.  The factors
+    multiply in the order l = 0, 1, ..., k-1."""
+    d = A[:, :, None] - X[:, None, :]
+    d *= d
+    return d.prod(axis=0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -92,14 +99,6 @@ def phi_stable(X: np.ndarray, p: float, q: int) -> float:
         return math.inf
     s = ((dmin / d) ** p).sum()
     return float(s ** (1.0 / p) / dmin)
-
-
-def _others(n: int, i: int, j: int) -> np.ndarray:
-    """Mask of the rows other than i and j."""
-    mask = np.ones(n, dtype=bool)
-    mask[i] = False
-    mask[j] = False
-    return mask
 
 
 def phi_weights(size: int, dref: int, e: float) -> np.ndarray:
@@ -157,25 +156,26 @@ def maxpro_sum(X: np.ndarray) -> float:
     return float((1.0 / pairs).sum())
 
 
-def maxpro_delta(P: np.ndarray, X: np.ndarray, col: int, i: int, j: int,
-                 s: float) -> float:
-    """New maxpro pair sum after swapping rows i, j in column col.
+def maxpro_delta(P: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> float:
+    """New maxpro pair sum ``s`` after rows i, j swap their entries of the
+    column ``x`` (float64 levels).
 
-    ``P`` is ``gap_products(X, X)`` of the design before the swap.
+    ``P`` is the ``gap_products`` matrix of the design before the swap.  Its
+    rows i, j without columns i, j form one C-ordered 2 x (n-2) block, whose
+    row sums add up in the same order as the two 1-D rows; the swap moves
+    the column's factor between the block's two rows.
     """
-    mask = _others(X.shape[0], i, j)
-    x = X[:, col]
-    gcol = x[mask]
-    prod_i = P[i, mask]
-    prod_j = P[j, mask]
-    gi2 = (x[i] - gcol).astype(np.float64) ** 2
-    gj2 = (x[j] - gcol).astype(np.float64) ** 2
-    # the swap moves the column-col factor between the two affected rows
-    new_i = prod_i / gi2 * gj2
-    new_j = prod_j / gj2 * gi2
-    s -= (1.0 / prod_i).sum() + (1.0 / prod_j).sum()
-    s += (1.0 / new_i).sum() + (1.0 / new_j).sum()
-    return float(s)
+    rows = (i, j)
+    mask = np.ones(x.shape[0], dtype=bool)
+    mask[i] = mask[j] = False
+    old = P.take(rows, axis=0).compress(mask, axis=1)
+    g2 = x.take(rows)[:, None] - x.compress(mask)
+    g2 *= g2
+    new = old / g2
+    new *= g2[::-1]
+    lost = (1.0 / old).sum(axis=1)
+    gained = np.divide(1.0, new, out=new).sum(axis=1)
+    return float(s - (lost[0] + lost[1]) + (gained[0] + gained[1]))
 
 
 def warm_up() -> None:

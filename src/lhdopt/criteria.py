@@ -114,6 +114,7 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
     if isinstance(q, bool) or q not in (1, 2):
         raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
     X = np.ascontiguousarray(design, dtype=np.int64)
+    _check_runs(X.shape[0])
     return float(_kernels.phi_stable(X, float(p), q))
 
 
@@ -125,8 +126,14 @@ def maxpro_psi(design: np.ndarray) -> float:
     """
     X = np.ascontiguousarray(design, dtype=np.int64)
     n, k = X.shape
+    _check_runs(n)
     npairs = n * (n - 1) // 2
     return float((_maxpro_total(X) / npairs) ** (1.0 / k))
+
+
+def _check_runs(n: int) -> None:
+    if n < 2:
+        raise InvalidDimensionError("need at least 2 runs")
 
 
 def _maxpro_total(X: np.ndarray) -> float:
@@ -151,65 +158,90 @@ def _doubled_centered(design: np.ndarray) -> np.ndarray:
     return 2 * X - (n + 1)
 
 
-def _gram(design: np.ndarray) -> np.ndarray:
-    Z = _doubled_centered(design)
-    return Z.T @ Z
+def _level_ss(n: int) -> float:
+    """Sum of squared doubled-centered levels of an LHD column."""
+    return float(n * (n * n - 1) // 3)
 
 
 def column_correlations(design: np.ndarray) -> np.ndarray:
     """k x k matrix of Pearson correlations between columns (diagonal 1)."""
     X = np.asarray(design)
-    n = X.shape[0]
-    G = _gram(X)
-    v = n * (n * n - 1) // 3  # sum of squared doubled-centered levels
-    C = G.astype(np.float64) / float(v)
+    _check_runs(X.shape[0])
+    Z = _doubled_centered(X)
+    C = (Z.T @ Z).astype(np.float64) / _level_ss(X.shape[0])
     np.fill_diagonal(C, 1.0)
     return C
 
 
-def _offdiag_correlations(design: np.ndarray) -> np.ndarray:
-    k = design.shape[1]
+# a correlation statistic from the integer Gram vector g of the m >= 1 column
+# pairs and v = _level_ss(n); sum / m has the bits of mean, and dividing by
+# v > 0 is monotone, so it commutes with max
+_COR_STATS = {
+    "avgcor": lambda g, v, m: float((np.abs(g) / v).sum() / m),
+    "maxcor": lambda g, v, m: float(np.abs(g).max()) / v,
+    "avgsqcor": lambda g, v, m: float(np.square(g / v).sum() / m),
+}
+
+
+def _pair_gram(Z: np.ndarray) -> np.ndarray:
+    """Integer Gram entries of the column pairs a < b of ``pair_indices``."""
+    a, b = _kernels.pair_indices(Z.shape[1])
+    return (Z.T @ Z)[a, b]
+
+
+def _correlation(design: np.ndarray, stat: str) -> float:
+    X = np.asarray(design, dtype=np.int64)
+    n, k = X.shape
     if k < 2:
         raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
-    C = column_correlations(design)
-    return C[_kernels.pair_indices(k)]
+    _check_runs(n)
+    return _COR_STATS[stat](_pair_gram(_doubled_centered(X)), _level_ss(n), k * (k - 1) // 2)
 
 
 def avg_abs_cor(design: np.ndarray) -> float:
     """Mean absolute Pearson correlation over unordered column pairs."""
-    return float(np.mean(np.abs(_offdiag_correlations(design))))
+    return _correlation(design, "avgcor")
 
 
 def max_abs_cor(design: np.ndarray) -> float:
     """Largest absolute Pearson correlation; exactly 0 iff orthogonal."""
-    return float(np.max(np.abs(_offdiag_correlations(design))))
+    return _correlation(design, "maxcor")
 
 
 def avg_sq_cor(design: np.ndarray) -> float:
     """Mean squared Pearson correlation over column pairs (0.0 when k < 2)."""
-    if design.shape[1] < 2:
-        return 0.0
-    r = _offdiag_correlations(design)
-    return float(np.mean(r * r))
+    return _correlation(design, "avgsqcor") if design.shape[1] >= 2 else 0.0
 
 
 def phi_p_lower_proxy(n: int, k: int, p: int, q: int) -> float:
-    """L: phi_p if every pair distance equaled the average-distance bound."""
+    """L: phi_p if every pair distance equaled the mean pair distance of an
+    n x k LHD, k(n+1)/3 for q=1, or (q=2) the root mean square one,
+    sqrt(k n(n+1)/6).  By the power-mean inequality every LHD has
+    phi_p >= L, with equality only when all its pair distances are equal."""
     if q == 1:
         dbar = k * (n + 1) / 3.0
     else:
-        dbar = math.sqrt(k * (n * n - 1) / 6.0)
+        dbar = math.sqrt(k * n * (n + 1) / 6.0)
     npairs = n * (n - 1) // 2
     return npairs ** (1.0 / p) / dbar
 
 
-def _normalized_phi(phi: float, n: int, k: int, spec: CriterionSpec) -> float:
+def _phi_scale(n: int, k: int, spec: CriterionSpec, phi: float) -> tuple[float, float]:
+    """(L, U - L) of the normalized phi_p term of ``combo``, with U the
+    spec's ``norm_upper`` or else ``phi``.  U < L would flip the term's
+    sign, so it raises; U == L (an equidistant design as U, e.g. any
+    2-run design) makes the term 0.0."""
     lower = phi_p_lower_proxy(n, k, spec.p, spec.q)
     upper = spec.norm_upper if spec.norm_upper is not None else phi
-    denom = upper - lower
-    if denom <= 0.0:
-        return 0.0
-    return (phi - lower) / denom
+    if upper < lower:
+        raise InvalidConfigError(
+            f"combo upper proxy U={upper!r} is below the lower proxy L={lower!r}"
+        )
+    return lower, upper - lower
+
+
+def _normalized(phi: float, lower: float, span: float) -> float:
+    return (phi - lower) / span if span else 0.0
 
 
 def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -219,14 +251,15 @@ def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
     L from the average-distance bound (see :func:`phi_p_lower_proxy`) and
     U = ``spec.norm_upper`` (a search run sets it to the starting design's
     phi_p; without one, the evaluated design's own phi_p is used, making the
-    term 1).
+    term 1).  U < L raises ``InvalidConfigError``; U == L gives the term 0.0.
     """
     if spec.kind != "combo":
         raise InvalidConfigError(f"weighted_objective needs kind='combo', got {spec.kind!r}")
     n, k = design.shape
     w = float(spec.weight)
     phi = phi_p(design, spec.p, spec.q)
-    return w * avg_sq_cor(design) + (1.0 - w) * _normalized_phi(phi, n, k, spec)
+    lower, span = _phi_scale(n, k, spec, phi)
+    return w * avg_sq_cor(design) + (1.0 - w) * _normalized(phi, lower, span)
 
 
 def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -274,10 +307,10 @@ class _PhiState:
     evaluated in full and a zero distance gives ``inf``.
     """
 
-    def __init__(self, X: np.ndarray, p: int, q: int):
+    def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n = X.shape[0]
-        self.q = int(q)
-        self.p = float(p)
+        self.q = int(spec.q)
+        self.p = float(spec.p)
         self.e = self.p if self.q == 1 else self.p / 2.0
         self.S = _kernels.gap_power_sums(X, self.q)
         self.pairs = _kernels.pair_indices(n)
@@ -320,7 +353,7 @@ class _PhiState:
         Y[[i, j], col] = Y[[j, i], col]
         return float(_kernels.phi_stable(Y, self.p, self.q))
 
-    def commit(self, i: int, j: int) -> None:
+    def commit(self, col: int, i: int, j: int) -> None:
         """Apply the proposed swap of rows i, j to ``S`` and ``T``."""
         S, new = self.S, self.new
         S[i] = S[:, i] = new[0]
@@ -338,145 +371,150 @@ class _PhiState:
                 self._rescale()
 
 
+class _CorrState:
+    """Correlation state (avgcor, maxcor, the avgsqcor term of combo): the
+    doubled-centered levels ``Z`` and the integer pair Gram vector ``g``.
+
+    A swap in column ``col`` changes only the k-1 entries of ``g`` at
+    ``pos[col]``, which pair ``col`` with the columns ``partner[col]``, by
+    exact integers; a proposal updates those in a copy of ``g`` and computes
+    the one statistic the criterion reads (0.0 when k < 2).
+    """
+
+    def __init__(self, X: np.ndarray, spec: CriterionSpec):
+        n, k = X.shape
+        if k < 2 and spec.kind != "combo":
+            raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
+        a, b = _kernels.pair_indices(k)
+        self.Z = _doubled_centered(X)
+        self.g = _pair_gram(self.Z)
+        self.pos = [np.flatnonzero((a == c) | (b == c)) for c in range(k)]
+        self.partner = [a[p] + b[p] - c for c, p in enumerate(self.pos)]
+        stat_of = _COR_STATS["avgsqcor" if spec.kind == "combo" else spec.kind]
+        v, m = _level_ss(n), a.size
+        self.stat = (lambda g: stat_of(g, v, m)) if m else (lambda g: 0.0)
+        self.value = self.stat(self.g)
+
+    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        zi, zj = self.Z[i], self.Z[j]
+        g = self.g.copy()
+        g[self.pos[col]] += (zj[col] - zi[col]) * (zi - zj)[self.partner[col]]
+        self.new, self.new_value = g, self.stat(g)
+        return self.new_value
+
+    def commit(self, col: int, i: int, j: int) -> None:
+        Z = self.Z
+        Z[i, col], Z[j, col] = Z[j, col], Z[i, col]
+        self.g, self.value = self.new, self.new_value
+
+
+class _MaxproState:
+    """maxpro state: a k x n float64 transposed copy ``XT`` of the design,
+    its pair gap products ``P`` and the running pair sum ``s``.  A commit
+    recomputes rows and columns i, j of ``P`` from ``XT``, so ``P`` never
+    drifts; ``s`` is recomputed every ``_REFRESH_EVERY`` commits."""
+
+    def __init__(self, X: np.ndarray, spec: CriterionSpec):
+        n, k = X.shape
+        self.npairs, self.k = n * (n - 1) // 2, k
+        self._refresh(X)
+        self.XT = X.T.astype(np.float64)
+        self.P = _kernels.gap_products(self.XT, self.XT)
+        self.commits = 0
+
+    def _refresh(self, X: np.ndarray) -> None:
+        """Recompute the pair sum, the one running float total."""
+        self.s = _maxpro_total(X)
+        self.value = self._psi(self.s)
+
+    def _psi(self, s: float) -> float:
+        return (s / self.npairs) ** (1.0 / self.k)
+
+    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        self.new = _kernels.maxpro_delta(self.P, self.XT[col], i, j, self.s)
+        return self._psi(self.new)
+
+    def commit(self, col: int, i: int, j: int) -> None:
+        XT, P = self.XT, self.P
+        XT[col, i], XT[col, j] = XT[col, j], XT[col, i]
+        P[i], P[j] = _kernels.gap_products(XT.take((i, j), axis=1), XT)
+        P[:, i], P[:, j] = P[i], P[j]
+        self.s, self.value = self.new, self._psi(self.new)
+        self.commits += 1
+        if self.commits % _REFRESH_EVERY == 0:
+            self._refresh(XT.T.astype(np.int64, order="C"))
+
+
+class _ComboState:
+    """combo state: a ``_PhiState`` and an avgsqcor ``_CorrState``.  ``spec``
+    pins U (to the starting design's phi_p when unset), so all later values
+    share one scale."""
+
+    def __init__(self, X: np.ndarray, spec: CriterionSpec):
+        self.phi = _PhiState(X, spec)
+        self.corr = _CorrState(X, spec)
+        if spec.norm_upper is None:
+            spec = replace(spec, norm_upper=self.phi.value)
+        self.spec = spec
+        self.w = float(spec.weight)
+        self.lower, self.span = _phi_scale(*X.shape, spec, self.phi.value)
+        self.value = self._mix(self.corr.value, self.phi.value)
+
+    def _mix(self, cor: float, phi: float) -> float:
+        return self.w * cor + (1.0 - self.w) * _normalized(phi, self.lower, self.span)
+
+    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        self.new_value = self._mix(self.corr.propose(X, col, i, j),
+                                   self.phi.propose(X, col, i, j))
+        return self.new_value
+
+    def commit(self, col: int, i: int, j: int) -> None:
+        self.phi.commit(col, i, j)
+        self.corr.commit(col, i, j)
+        self.value = self.new_value
+
+
+_STATES = {"phi_p": _PhiState, "maxpro": _MaxproState, "combo": _ComboState}
+
+
 class Evaluator:
     """Incremental criterion evaluation under within-column swaps.
 
-    Holds a private copy of the design and per-pair state that a swap only
-    changes in two rows: the integer pair distances (phi_p, combo; see
-    ``_PhiState``), the pair gap products ``P`` (maxpro) and the
-    doubled-centered levels ``Z`` with their Gram matrix (avgcor, maxcor,
-    combo).  ``propose(col, i, j)`` returns the criterion value the design
-    would have after swapping rows i and j in column col, reading two rows
-    of the cache; ``commit`` applies the swap and updates those rows.  The
-    pair distances and ``G`` are exact integers and ``P`` is recomputed from
-    the design, so the caches never drift.  The two running float totals
-    are recomputed from them: the phi_p pair sum at least every
-    ``_PHI_RESUM`` commits, the maxpro pair sum every ``_REFRESH_EVERY``.
-    phi_p agrees with full evaluation to 1e-10 relative for every accepted
-    p (tested up to p = 400) and q.
+    Holds a private copy ``X`` of the design and the criterion's ``state``
+    (``_PhiState``, ``_MaxproState``, ``_CorrState`` or ``_ComboState``),
+    which owns ``propose``, ``commit`` and ``value``.  ``propose(col, i, j)``
+    returns the value the design would have after swapping rows i and j in
+    column col, in O(n); ``commit`` applies the swap.  Incremental values
+    agree with full evaluation to 1e-10 relative (property-tested).
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.spec = spec
         self.X = np.array(design, dtype=np.int64, order="C")
         self.n, self.k = self.X.shape
-        self._npairs = self.n * (self.n - 1) // 2
-        self._commits = 0
+        _check_runs(self.n)
+        self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
+        self.spec = getattr(self.state, "spec", spec)
         self._cache_key = None
-        kind = spec.kind
-        if kind == "maxpro":
-            self._refresh()
-            self._P = _kernels.gap_products(self.X, self.X)
-        if kind in ("avgcor", "maxcor", "combo"):
-            if kind != "combo" and self.k < 2:
-                raise TooFewColumnsError(f"need at least 2 columns, got k={self.k}")
-            self._Z = _doubled_centered(self.X)
-            self._G = _gram(self.X)
-            self._v = self.n * (self.n * self.n - 1) // 3
-            self._iu = _kernels.pair_indices(self.k)
-        if kind in ("phi_p", "combo"):
-            self._phi = _PhiState(self.X, spec.p, spec.q)
-        if kind == "combo" and spec.norm_upper is None:
-            # pin U to the starting design so all later values share one scale
-            self.spec = replace(spec, norm_upper=self._phi.value)
-
-    # -- state ------------------------------------------------------------
-
-    def _refresh(self) -> None:
-        """Recompute the maxpro pair sum, the one running float total."""
-        self._ms = _maxpro_total(self.X)
-
-    def _corr_stats(self, G: np.ndarray) -> tuple[float, float, float]:
-        """(avg |r|, max |r|, avg r^2) over column pairs from a Gram matrix."""
-        if self.k < 2:
-            return 0.0, 0.0, 0.0
-        r = G[self._iu].astype(np.float64) / float(self._v)
-        a = np.abs(r)
-        return float(a.mean()), float(a.max()), float((r * r).mean())
-
-    def _value_from(self, state) -> float:
-        spec = self.spec
-        if spec.kind == "phi_p":
-            return state
-        if spec.kind == "maxpro":
-            return (state / self._npairs) ** (1.0 / self.k)
-        if spec.kind == "avgcor":
-            return self._corr_stats(state)[0]
-        if spec.kind == "maxcor":
-            return self._corr_stats(state)[1]
-        phi, G = state
-        w = float(spec.weight)
-        return w * self._corr_stats(G)[2] + (1.0 - w) * _normalized_phi(
-            phi, self.n, self.k, spec
-        )
-
-    def _state(self):
-        spec = self.spec
-        if spec.kind == "phi_p":
-            return self._phi.value
-        if spec.kind == "maxpro":
-            return self._ms
-        if spec.kind in ("avgcor", "maxcor"):
-            return self._G
-        return (self._phi.value, self._G)
 
     def value(self) -> float:
-        return self._value_from(self._state())
-
-    # -- moves ------------------------------------------------------------
-
-    def _candidate_state(self, col: int, i: int, j: int):
-        spec = self.spec
-        X = self.X
-        if spec.kind == "phi_p":
-            return self._phi.propose(X, col, i, j)
-        if spec.kind == "maxpro":
-            return float(_kernels.maxpro_delta(self._P, X, col, i, j, self._ms))
-        # Gram update: only row/column `col` changes, diagonal is invariant
-        Z = self._Z
-        dz = int(Z[j, col]) - int(Z[i, col])
-        row = self._G[col] + dz * (Z[i] - Z[j])
-        row[col] = self._G[col, col]
-        G = self._G.copy()
-        G[col, :] = row
-        G[:, col] = row
-        if spec.kind in ("avgcor", "maxcor"):
-            return G
-        return (self._phi.propose(X, col, i, j), G)
+        return self.state.value
 
     def propose(self, col: int, i: int, j: int) -> float:
         """Criterion value after the hypothetical swap; design unchanged."""
         if not (0 <= col < self.k and 0 <= i < self.n and 0 <= j < self.n):
             raise IndexOutOfRangeError(f"swap ({col}, {i}, {j}) outside design")
-        state = self._candidate_state(col, i, j)
+        value = self.state.propose(self.X, col, i, j)
         self._cache_key = (col, i, j)
-        self._cache_state = state
-        return self._value_from(state)
+        return value
 
     def commit(self, col: int, i: int, j: int) -> None:
         """Apply the swap and update the incremental state."""
         if self._cache_key != (col, i, j):
             self.propose(col, i, j)
-        state = self._cache_state
-        kind = self.spec.kind
+        self.state.commit(col, i, j)
         X = self.X
-        if kind in ("phi_p", "combo"):
-            self._phi.commit(i, j)
-        if kind in ("avgcor", "maxcor", "combo"):
-            self._G = state[1] if kind == "combo" else state
-            Z = self._Z
-            Z[i, col], Z[j, col] = Z[j, col], Z[i, col]
         X[i, col], X[j, col] = X[j, col], X[i, col]
         self._cache_key = None
-        if kind == "maxpro":
-            self._ms = state
-            rows = [i, j]
-            P = self._P
-            P[rows] = _kernels.gap_products(X[rows], X)
-            P[:, rows] = P[rows].T
-            self._commits += 1
-            if self._commits % _REFRESH_EVERY == 0:
-                self._refresh()
 
 
 def delta_after_exchange(

@@ -1,16 +1,19 @@
-"""Bit-equality of the population-method fast paths with their reference forms.
+"""Bit-equality of the fast paths with their reference forms.
 
-The pair-indexed full kernels, the position-indexed ``match_swaps`` and the
-list-based ``permutation`` replace slower expressions of the same arithmetic
-and the same draws.  The reference forms are kept here, and every check is
-exact (``==``, not a tolerance): seeded runs must not move by a single bit.
+The pair-indexed full kernels, the position-indexed ``match_swaps``, the
+list-based ``permutation``, the per-column ``gap_power_sums`` and the
+annealer states' maxpro and correlation updates replace slower
+expressions of the same arithmetic and the same draws.  The reference
+forms are kept here, and every check is exact (``==``, not a tolerance):
+seeded runs must not move by a single bit.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lhdopt import _kernels
+from lhdopt import CriterionSpec, _kernels
+from lhdopt.criteria import _CorrState, _MaxproState
 from lhdopt.rng import permutation
 from lhdopt.search import match_swaps
 
@@ -79,6 +82,53 @@ def ref_maxpro_sum(X):
     return float((1.0 / pairs).sum())
 
 
+def ref_gap_power_sums(X, q):
+    """From the full n x n x k gap tensor."""
+    diff = np.abs(X[:, None, :] - X[None, :, :])
+    return diff.sum(axis=2) if q == 1 else (diff * diff).sum(axis=2)
+
+
+def ref_gap_products(A, X):
+    """Row-major products over the last axis of an m x n x k tensor."""
+    diff = (A[:, None, :] - X[None, :, :]).astype(np.float64)
+    return (diff * diff).prod(axis=2)
+
+
+def ref_maxpro_delta(P, X, col, i, j, s):
+    """Two masked 1-D rows of ``P``, one 1-D sum each."""
+    mask = np.ones(X.shape[0], dtype=bool)
+    mask[i] = mask[j] = False
+    x = X[:, col]
+    gcol = x[mask]
+    prod_i = P[i, mask]
+    prod_j = P[j, mask]
+    gi2 = (x[i] - gcol).astype(np.float64) ** 2
+    gj2 = (x[j] - gcol).astype(np.float64) ** 2
+    new_i = prod_i / gi2 * gj2
+    new_j = prod_j / gj2 * gi2
+    s -= (1.0 / prod_i).sum() + (1.0 / prod_j).sum()
+    s += (1.0 / new_i).sum() + (1.0 / new_j).sum()
+    return float(s)
+
+
+def ref_corr_stats(X, col, i, j):
+    """(avg |r|, max |r|, avg r^2) after the swap, from a k x k Gram copy."""
+    n, k = X.shape
+    if k < 2:
+        return 0.0, 0.0, 0.0
+    Z = 2 * X - (n + 1)
+    G = Z.T @ Z
+    dz = int(Z[j, col]) - int(Z[i, col])
+    row = G[col] + dz * (Z[i] - Z[j])
+    row[col] = G[col, col]
+    G = G.copy()
+    G[col, :] = row
+    G[:, col] = row
+    r = G[np.triu_indices(k, k=1)].astype(np.float64) / float(n * (n * n - 1) // 3)
+    a = np.abs(r)
+    return float(a.mean()), float(a.max()), float((r * r).mean())
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -106,6 +156,17 @@ def designs(draw, lhd=True):
     else:  # levels may repeat, so some pair gap can be zero
         cols = [draw(st.lists(st.integers(1, n), min_size=n, max_size=n)) for _ in range(k)]
     return np.ascontiguousarray(np.column_stack(cols), dtype=np.int64)
+
+
+@st.composite
+def swaps(draw):
+    """An LHD with n in 3..80 and k in 1..9, and a swap (i == j allowed)."""
+    n = draw(st.integers(3, 80))
+    k = draw(st.integers(1, 9))
+    X = np.column_stack([draw(st.permutations(range(1, n + 1))) for _ in range(k)])
+    col = draw(st.integers(0, k - 1))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return np.ascontiguousarray(X, dtype=np.int64), col, i, j
 
 
 N2K1 = np.array([[2], [1]], dtype=np.int64)
@@ -166,3 +227,40 @@ def test_pair_indices_cached_and_read_only():
         assert np.array_equal(a, ra) and np.array_equal(b, rb)
         assert not a.flags.writeable and not b.flags.writeable
         assert _kernels.pair_indices(m)[0] is a
+
+
+@SETTINGS
+@given(designs(), st.sampled_from((1, 2)))
+def test_gap_power_sums_equal_reference(X, q):
+    got = _kernels.gap_power_sums(X, q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref_gap_power_sums(X, q))
+
+
+@SETTINGS
+@given(swaps())
+def test_maxpro_state_equals_reference(case):
+    X, col, i, j = case
+    state = _MaxproState(X, CriterionSpec("maxpro"))
+    P = ref_gap_products(X, X)
+    assert np.array_equal(state.P, P)
+    want = ref_maxpro_delta(P, X, col, i, j, state.s)
+    state.propose(X, col, i, j)
+    assert state.new == want
+    # the commit recomputes rows i, j as the reference does after the swap
+    state.commit(col, i, j)
+    Y = X.copy()
+    Y[[i, j], col] = Y[[j, i], col]
+    assert np.array_equal(state.P[[i, j]], ref_gap_products(Y[[i, j]], Y))
+    assert np.array_equal(state.P, ref_gap_products(Y, Y))
+
+
+@SETTINGS
+@given(swaps())
+def test_corr_state_equals_reference(case):
+    X, col, i, j = case
+    want = ref_corr_stats(X, col, i, j)
+    specs = (CriterionSpec("avgcor"), CriterionSpec("maxcor"), CriterionSpec("combo", weight=0.5))
+    for spec, value in zip(specs, want):
+        if X.shape[1] >= 2 or spec.kind == "combo":  # combo reads avg r^2
+            assert _CorrState(X, spec).propose(X, col, i, j) == value, spec.kind

@@ -17,7 +17,7 @@ from lhdopt import (
     phi_p,
     weighted_objective,
 )
-from lhdopt.criteria import Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy
+from lhdopt.criteria import KINDS, Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy
 from lhdopt.errors import (
     DegenerateCoordinateError,
     InvalidConfigError,
@@ -99,6 +99,17 @@ class TestPhiP:
         ev.commit(1, 1, 2)
         assert ev.value() == np.inf
         assert ev.propose(1, 1, 2) == pytest.approx(phi_p(Y, q=q), rel=1e-12)
+
+
+class TestOneRun:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_run_is_a_typed_error(self, kind):
+        spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
+        X = np.array([[1, 2]])
+        with pytest.raises(InvalidDimensionError, match="at least 2 runs"):
+            evaluate(X, spec)
+        with pytest.raises(InvalidDimensionError, match="at least 2 runs"):
+            Evaluator(X, spec)
 
 
 class TestMaxpro:
@@ -185,7 +196,7 @@ class TestWeightedObjective:
     def test_two_run_documented_proxies(self):
         # [[1,1],[2,2]]: avg squared correlation 1; phi = 0.5 equals the lower
         # proxy L = 1/(k(n+1)/3) = 0.5 and without an explicit upper proxy
-        # U = phi too, so the degenerate normalization clamps to 0
+        # U = phi too, so the degenerate normalization U == L gives 0
         X = np.array([[1, 1], [2, 2]])
         spec = CriterionSpec("combo", weight=0.5)
         assert weighted_objective(X, spec) == pytest.approx(0.5 * 1.0 + 0.5 * 0.0, rel=1e-12)
@@ -195,6 +206,33 @@ class TestWeightedObjective:
         spec = CriterionSpec("combo", weight=0.25, norm_upper=1.5)
         want = 0.25 * 1.0 + 0.75 * (0.5 - 0.5) / (1.5 - 0.5)
         assert weighted_objective(X, spec) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_lower_proxy_bounds_every_lhd(self, gen, q):
+        for _ in range(200):
+            n, k = int(gen.integers(2, 12)), int(gen.integers(1, 6))
+            X = random_design(gen, n, k)
+            for p in (1, 15, 50):
+                assert phi_p(X, p, q) >= phi_p_lower_proxy(n, k, p, q) * (1 - 1e-12)
+
+    def test_upper_proxy_below_lower_raises(self):
+        # L = 0.338 here; U = 0.01 would silently drop the phi_p term
+        X = np.array([[1, 3], [2, 1], [3, 2], [4, 4]])
+        spec = CriterionSpec("combo", weight=0.3, norm_upper=0.01)
+        with pytest.raises(InvalidConfigError):
+            evaluate(X, spec)
+        with pytest.raises(InvalidConfigError):
+            Evaluator(X, spec)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_upper_proxy_equal_to_lower_gives_zero_term(self, q):
+        # both pair distances of a 2-run design equal the mean one: phi_p == L
+        X = np.array([[1, 2], [2, 1]])
+        want = 0.5 * avg_sq_cor(X)
+        for upper in (None, phi_p_lower_proxy(2, 2, 15, q)):
+            spec = CriterionSpec("combo", q=q, weight=0.5, norm_upper=upper)
+            assert evaluate(X, spec) == want
+            assert Evaluator(X, spec).value() == want
 
     def test_invalid_weight(self):
         with pytest.raises(InvalidWeightError):

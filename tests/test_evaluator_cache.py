@@ -1,10 +1,10 @@
 """Property tests of the incremental evaluator's cached per-pair state.
 
 A stream of proposals, some committed and some not (including the no-op
-swap i == j), must leave the cached pair distances, gap products, centered
-levels and Gram matrix exactly equal to those of a fresh evaluator on the
-same design, and every proposal must agree with full evaluation, over phi_p
-exponents 1..400 and both distances.
+swap i == j), must leave the cached pair distances, transposed design, gap
+products, centered levels and pair Gram vector exactly equal to those of a
+fresh evaluator on the same design, and every proposal must agree with
+full evaluation, over phi_p exponents 1..400 and both distances.
 """
 
 from operator import attrgetter
@@ -18,11 +18,11 @@ from lhdopt import CriterionSpec, exchange
 from lhdopt.criteria import _PHI_RESUM, KINDS, Evaluator, evaluate
 
 CACHES = {
-    "phi_p": ("_phi.S",),
-    "maxpro": ("_P",),
-    "avgcor": ("_Z", "_G"),
-    "maxcor": ("_Z", "_G"),
-    "combo": ("_phi.S", "_Z", "_G"),
+    "phi_p": ("state.S",),
+    "maxpro": ("state.XT", "state.P"),
+    "avgcor": ("state.Z", "state.g"),
+    "maxcor": ("state.Z", "state.g"),
+    "combo": ("state.phi.S", "state.corr.Z", "state.corr.g"),
 }
 
 
@@ -121,7 +121,7 @@ def test_running_sum_matches_its_recomputation(p):
     n, k = 30, 5
     X = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
     ev = Evaluator(X, CriterionSpec("phi_p", p=p, q=2))
-    state = ev._phi
+    state = ev.state
     longest = 0
     for _ in range(2 * _PHI_RESUM + 100):
         col, i, j = int(gen.integers(k)), int(gen.integers(n)), int(gen.integers(n))
@@ -157,10 +157,10 @@ def test_table_grows_past_its_end(q):
     X = np.array([[1, 5], [10, 1], [5, 10]])
     spec = CriterionSpec("phi_p", q=q)
     ev = Evaluator(X, spec)
-    size = ev._phi.size
+    size = ev.state.size
     for col, i, j in [(1, 0, 2), (0, 0, 1), (1, 1, 2), (0, 2, 0)]:
         want = evaluate(exchange(ev.X, col, i, j), spec)
         assert ev.propose(col, i, j) == pytest.approx(want, rel=1e-10)
         ev.commit(col, i, j)
-    assert ev._phi.size > size
+    assert ev.state.size > size
     assert_matches_fresh(ev)
