@@ -109,8 +109,10 @@ def phi_weights(size: int, dref: int, e: float) -> np.ndarray:
     there, so the table holds no ``inf`` and a weighted count sum cannot
     overflow or meet ``0 * inf``.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        W = (dref / np.arange(size, dtype=np.float64)) ** e
+    W = np.arange(size, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):  # in place: no table-sized temporary
+        np.divide(dref, W, out=W)
+        W **= e
     W[0] = 0.0
     return np.minimum(W, 2.0 ** 900, out=W)
 
@@ -147,7 +149,12 @@ def maxpro_sum(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero,
     ``inf`` if a pair product overflows float64."""
     diff = _pair_gaps(X)
-    pairs = (diff * diff).prod(axis=1)
+    return reciprocal_sum((diff * diff).prod(axis=1))
+
+
+def reciprocal_sum(pairs: np.ndarray) -> float:
+    """Sum of 1 / pairs over pair products in ``pair_indices`` order; -1.0 if
+    one is zero, ``inf`` if one overflowed float64."""
     if pairs.size:
         if pairs.min() == 0.0:
             return -1.0

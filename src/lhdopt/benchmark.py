@@ -18,9 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import search as S
-from .constructions import good_oa_catalog
 from .criteria import CriterionSpec
-from .design import make_slices
 from .errors import InvalidConfigError
 from .io import read_json
 from .rng import RngStream
@@ -42,7 +40,7 @@ class BenchmarkSpec:
     base_seed: int
     weight: float | None = None       # sa-multiobj
     slices_t: int | None = None       # sa-sliced
-    oa_name: str | None = None        # oasa
+    oa_name: str | None = None        # oasa: catalog name or OA CSV path, as --oa
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
@@ -63,7 +61,7 @@ class BenchmarkSpec:
         if spec.slices_t is not None:
             _integer(spec.slices_t, "slices_t")
         if not isinstance(spec.oa_name, (str, type(None))):
-            raise InvalidConfigError(f"oa must be a catalog name string, got {spec.oa_name!r}")
+            raise InvalidConfigError(f"oa must be a catalog name or CSV path, got {spec.oa_name!r}")
         if isinstance(spec.weight, bool) or not isinstance(spec.weight, (int, float, type(None))):
             raise InvalidConfigError(f"weight must be a number, got {spec.weight!r}")
         if not spec.grid or not spec.algorithms:
@@ -73,17 +71,18 @@ class BenchmarkSpec:
         for a in spec.algorithms:
             if a not in S.ALGORITHMS:
                 raise InvalidConfigError(f"unknown algorithm {a!r}")
-            if a == "sa-multiobj" and spec.weight is None:
-                raise InvalidConfigError("sa-multiobj needs a 'weight' field")
-            if a == "sa-sliced" and spec.slices_t is None:
-                raise InvalidConfigError("sa-sliced needs a 'slices_t' field")
-            if a == "oasa" and spec.oa_name is None:
-                raise InvalidConfigError("oasa needs an 'oa' field naming a catalog array")
+            missing = S.missing_inputs(a, weight=spec.weight, slices=spec.slices_t, oa=spec.oa_name)
+            if missing:
+                fields = " and ".join(repr(_FIELDS.get(m, m)) for m in missing)
+                raise InvalidConfigError(f"{a} needs the spec field {fields}")
         return spec
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkSpec":
         return cls.from_dict(read_json(path))
+
+
+_FIELDS = {"slices": "slices_t"}  # run() input -> spec field, where the names differ
 
 
 def _integer(v, name: str) -> int:
@@ -113,26 +112,7 @@ def _run_cell(spec: BenchmarkSpec, algorithm: str, n: int, k: int, rep: int) -> 
         algorithm=algorithm, max_evaluations=spec.budget, seed=seed,
         weight=spec.weight,
     )
-    if algorithm == "sa":
-        res = S.sa_search(n, k, spec.criterion, config)
-    elif algorithm == "ga":
-        res = S.ga_search(n, k, spec.criterion, config)
-    elif algorithm == "lapso":
-        res = S.lapso_search(n, k, spec.criterion, config)
-    elif algorithm == "sa-multiobj":
-        res = S.sa_multiobj_search(n, k, spec.weight, config,
-                                   p=spec.criterion.p, q=spec.criterion.q)
-    elif algorithm == "sa-sliced":
-        res = S.sliced_sa_search(make_slices(n, spec.slices_t), k, spec.criterion, config)
-    elif algorithm == "oasa":
-        oa = good_oa_catalog(spec.oa_name)
-        if (oa.N, oa.K) != (n, k):
-            raise InvalidConfigError(
-                f"grid cell ({n},{k}) does not match {spec.oa_name} = ({oa.N},{oa.K})"
-            )
-        res = S.oasa_search(oa, spec.criterion, config)
-    else:  # unreachable: from_dict validates
-        raise InvalidConfigError(f"unknown algorithm {algorithm!r}")
+    res = S.run(config, spec.criterion, n, k, slices=spec.slices_t, oa=spec.oa_name)
     return {
         "algorithm": algorithm,
         "n": n,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -19,19 +18,11 @@ from . import __version__, _kernels, benchmark as bench, constructions as cons, 
 from . import io as lio
 from . import search as S
 from .criteria import CriterionSpec
-from .design import make_slices, random_lhd, validate
+from .design import random_lhd, validate
 from .errors import InvalidDesignError, LhdError
 from .rng import RngStream
 
 CONSTRUCTIONS = ("ye1998", "cioppa2007", "sun2010", "butler2001", "lin2009", "oalhd")
-
-
-def _load_oa(name_or_path: str):
-    """Resolve --oa: a bundled catalog name, or a path to CSV + JSON sidecar."""
-    if Path(name_or_path).exists():
-        return lio.read_oa(name_or_path)
-    return cons.good_oa_catalog(name_or_path)
-
 
 ORTHOGONAL_TOL = 1e-12  # a design is reported orthogonal below this
 
@@ -95,7 +86,7 @@ def _cmd_generate(args) -> int:
         elif name == "oalhd":
             if args.oa is None:
                 raise LhdError("oalhd needs --oa (a catalog name)")
-            oa = _load_oa(args.oa)
+            oa = S.load_oa(args.oa)
             rng = None if args.fill == "deterministic" else RngStream(args.seed, args.stream)
             X = cons.oa_to_lhd(oa, rng)
             params = {"oa": args.oa, "fill": args.fill}
@@ -103,7 +94,7 @@ def _cmd_generate(args) -> int:
             if args.oa is None or args.base_csv is None:
                 raise LhdError("lin2009 needs --oa and --base-csv")
             base = lio.read_design(args.base_csv)
-            X = cons.olhd_lin2009(base, _load_oa(args.oa))
+            X = cons.olhd_lin2009(base, S.load_oa(args.oa))
             params = {"oa": args.oa, "base_csv": str(args.base_csv)}
         else:  # argparse choices make this unreachable
             raise LhdError(f"unknown construction {name!r}")
@@ -129,13 +120,12 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _criterion_from_args(args) -> CriterionSpec:
-    kw = {"kind": args.criterion, "p": args.p, "q": args.q}
-    if args.criterion == "combo":
-        if args.weight is None:
-            raise LhdError("criterion 'combo' needs --weight")
-        kw["weight"] = args.weight
-    return CriterionSpec(**kw)
+def _criterion_from_args(args, kind: str) -> CriterionSpec:
+    if kind != "combo":
+        return CriterionSpec(kind, p=args.p, q=args.q)
+    if args.weight is None:
+        raise LhdError("criterion 'combo' needs --weight")
+    return CriterionSpec(kind, p=args.p, q=args.q, weight=args.weight)
 
 
 def _config_from_args(args) -> S.OptimizerConfig:
@@ -157,33 +147,8 @@ def _config_from_args(args) -> S.OptimizerConfig:
 
 
 def run_search_from_args(args) -> S.SearchResult:
-    config = _config_from_args(args)
-    if args.alg == "sa-multiobj":
-        if args.weight is None:
-            raise LhdError("sa-multiobj needs --weight")
-        _require_nk(args)
-        return S.sa_multiobj_search(args.n, args.k, args.weight, config,
-                                    p=args.p, q=args.q)
-    spec = _criterion_from_args(args)
-    if args.alg == "oasa":
-        if args.oa is None:
-            raise LhdError("oasa needs --oa (a catalog name)")
-        result = S.oasa_search(_load_oa(args.oa), spec, config)
-        result.config_echo["oa_name"] = args.oa  # replayable from metadata alone
-        return result
-    if args.alg == "sa-sliced":
-        if args.slices is None:
-            raise LhdError("sa-sliced needs --slices")
-        _require_nk(args)
-        return S.sliced_sa_search(make_slices(args.n, args.slices), args.k, spec, config)
-    _require_nk(args)
-    fn = {"sa": S.sa_search, "ga": S.ga_search, "lapso": S.lapso_search}[args.alg]
-    return fn(args.n, args.k, spec, config)
-
-
-def _require_nk(args) -> None:
-    if args.n is None or args.k is None:
-        raise LhdError(f"{args.alg} needs -n and -k")
+    spec = _criterion_from_args(args, args.criterion)
+    return S.run(_config_from_args(args), spec, args.n, args.k, slices=args.slices, oa=args.oa)
 
 
 def _cmd_search(args) -> int:
@@ -208,20 +173,9 @@ def _cmd_search(args) -> int:
 
 def search_from_echo(echo: dict) -> S.SearchResult:
     """Replay a search run from the metadata echo alone."""
-    ns = argparse.Namespace(
-        alg=echo["algorithm"], n=echo.get("n"), k=echo.get("k"),
-        criterion=echo["criterion"]["kind"], p=echo["criterion"].get("p", 15),
-        q=echo["criterion"].get("q", 1), weight=echo.get("weight"),
-        budget=echo["max_evaluations"], seed=echo["seed"], stream=echo["stream"],
-        t0=echo.get("t0"), alpha=echo.get("alpha", 0.95),
-        moves_per_temp=echo.get("moves_per_temp"),
-        column_mode=echo.get("column_mode", "cycle"),
-        pop=echo.get("population", 10), pmut=echo.get("pmut"),
-        swarm=echo.get("swarm", 10), same_num_p=echo.get("same_num_p"),
-        same_num_g=echo.get("same_num_g"),
-        oa=echo.get("oa_name"), slices=(echo.get("slices") or {}).get("t"),
-    )
-    return run_search_from_args(ns)
+    return S.run(S.OptimizerConfig.from_echo(echo), CriterionSpec.from_dict(echo["criterion"]),
+                 echo["n"], echo["k"], slices=echo.get("slices", {}).get("t"),
+                 oa=echo.get("oa_name"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +192,7 @@ def _cmd_evaluate(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         raise InvalidDesignError("; ".join(report.problems))
     wanted = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    values = {}
-    for name in wanted:
-        if name == "combo":
-            if args.weight is None:
-                raise LhdError("criterion 'combo' needs --weight")
-            spec = CriterionSpec("combo", p=args.p, q=args.q, weight=args.weight)
-        else:
-            spec = CriterionSpec(name, p=args.p, q=args.q)
-        values[name] = crit.evaluate(X, spec)
+    values = {name: crit.evaluate(X, _criterion_from_args(args, name)) for name in wanted}
     out = {"valid": True, "n": report.n, "k": report.k, "criteria": values}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -36,6 +36,9 @@ KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 # bounds its float drift from long accept streams well below the 1e-10 contract
 _REFRESH_EVERY = 4096
 
+# rows of the maxpro pair products P built per gap_products call at setup
+_P_ROWS = 32
+
 # most commits between recomputations of the phi_p pair sum from the exact
 # distances (see _PhiState): in between, a commit rounds by at most about
 # 240 eps of the sum for n <= 1024, so 1024 commits stay below 6e-11
@@ -128,7 +131,7 @@ def maxpro_psi(design: np.ndarray) -> float:
     n, k = X.shape
     _check_runs(n)
     npairs = n * (n - 1) // 2
-    return float((_maxpro_total(X) / npairs) ** (1.0 / k))
+    return float((_maxpro_total(_kernels.maxpro_sum(X), n, k) / npairs) ** (1.0 / k))
 
 
 def _check_runs(n: int) -> None:
@@ -136,15 +139,13 @@ def _check_runs(n: int) -> None:
         raise InvalidDimensionError("need at least 2 runs")
 
 
-def _maxpro_total(X: np.ndarray) -> float:
-    """``maxpro_sum`` of an int64 design, with its failure flags raised as errors."""
-    s = float(_kernels.maxpro_sum(X))
+def _maxpro_total(s: float, n: int, k: int) -> float:
+    """A maxpro pair sum of an n x k design, with its failure flags raised as errors."""
     if s < 0.0:
         raise DegenerateCoordinateError(
             "two rows share a level in some column; maxpro needs an LHD"
         )
     if s == math.inf:
-        n, k = X.shape
         raise InvalidDimensionError(
             f"maxpro pair products overflow float64 at n={n}, k={k}; "
             "use a smaller design or another criterion"
@@ -412,19 +413,24 @@ class _MaxproState:
     """maxpro state: a k x n float64 transposed copy ``XT`` of the design,
     its pair gap products ``P`` and the running pair sum ``s``.  A commit
     recomputes rows and columns i, j of ``P`` from ``XT``, so ``P`` never
-    drifts; ``s`` is recomputed every ``_REFRESH_EVERY`` commits."""
+    drifts; ``s`` is recomputed from ``P`` every ``_REFRESH_EVERY`` commits.
+    ``P`` is built in row blocks, so setup never holds a k x n x n tensor."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         self.npairs, self.k = n * (n - 1) // 2, k
-        self._refresh(X)
-        self.XT = X.T.astype(np.float64)
-        self.P = _kernels.gap_products(self.XT, self.XT)
+        XT = self.XT = X.T.astype(np.float64)
+        self.P = np.empty((n, n))
+        for r in range(0, n, _P_ROWS):
+            self.P[r:r + _P_ROWS] = _kernels.gap_products(XT[:, r:r + _P_ROWS], XT)
+        self._refresh()
         self.commits = 0
 
-    def _refresh(self, X: np.ndarray) -> None:
-        """Recompute the pair sum, the one running float total."""
-        self.s = _maxpro_total(X)
+    def _refresh(self) -> None:
+        """Recompute the pair sum, the one running float total, from ``P``."""
+        n = len(self.P)
+        s = _kernels.reciprocal_sum(self.P[_kernels.pair_indices(n)])
+        self.s = _maxpro_total(s, n, self.k)
         self.value = self._psi(self.s)
 
     def _psi(self, s: float) -> float:
@@ -442,7 +448,7 @@ class _MaxproState:
         self.s, self.value = self.new, self._psi(self.new)
         self.commits += 1
         if self.commits % _REFRESH_EVERY == 0:
-            self._refresh(XT.T.astype(np.int64, order="C"))
+            self._refresh()
 
 
 class _ComboState:

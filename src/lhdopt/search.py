@@ -10,6 +10,9 @@ Every optimizer accepts an ``inspect`` callback that receives each full
 design it visits (start and candidates; the sliced annealer reports the
 assembled design whenever it changes) -- the structural tests use it to
 check closure properties move by move.
+
+``run`` is the one dispatch from an algorithm name to its search, used by
+the CLI, the benchmark and replay; ``NEEDS`` lists what each one takes.
 """
 
 from __future__ import annotations
@@ -18,18 +21,35 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import criteria as crit
-from .constructions import OrthogonalArray, oa_to_lhd, validate_oa
+from .constructions import OrthogonalArray, good_oa_catalog, oa_to_lhd, validate_oa
 from .criteria import CriterionSpec, Evaluator
-from .design import SliceStructure, random_lhd
+from .design import SliceStructure, make_slices, random_lhd
 from .errors import InvalidConfigError
+from .io import read_oa
 from .rng import RngStream, permutation, two_distinct
 
-ALGORITHMS = ("sa", "oasa", "sa-multiobj", "sa-sliced", "ga", "lapso")
+# algorithm -> the inputs of ``run`` it needs besides the criterion, budget
+# and seed; ``weight`` is ``config.weight``, ``slices`` the slice count t and
+# ``oa`` a catalog name or an OA CSV path
+NEEDS = {
+    "sa": ("n", "k"),
+    "oasa": ("oa",),
+    "sa-multiobj": ("n", "k", "weight"),
+    "sa-sliced": ("n", "k", "slices"),
+    "ga": ("n", "k"),
+    "lapso": ("n", "k"),
+}
+ALGORITHMS = tuple(NEEDS)
+
+# OptimizerConfig fields that a run's ``config_echo`` carries when set
+_ECHOED = ("alpha", "column_mode", "t0", "moves_per_temp", "population", "pmut",
+           "swarm", "same_num_p", "same_num_g", "weight")
 
 Inspect = Callable[[np.ndarray], None] | None
 
@@ -88,15 +108,28 @@ class OptimizerConfig:
         if self.weight is not None and not 0.0 <= self.weight <= 1.0:
             raise InvalidConfigError(f"weight must be in [0,1], got {self.weight}")
 
+    @classmethod
+    def from_echo(cls, echo: dict) -> "OptimizerConfig":
+        """The config of a run, rebuilt from its ``config_echo``.  A ``combo``
+        criterion's weight is the one the run optimised, so it wins over the
+        echo's own ``weight``."""
+        kw = {name: echo[name] for name in _ECHOED if name in echo}
+        kw["weight"] = echo["criterion"].get("weight", echo.get("weight"))
+        return cls(algorithm=echo["algorithm"], max_evaluations=echo["max_evaluations"],
+                   seed=RngStream(echo["seed"], echo["stream"]), **kw)
+
 
 @dataclass
 class SearchResult:
     """Best design found plus the run's bookkeeping.
 
     ``trace`` lists (evaluation index, best-so-far value), non-increasing in
-    value and ending at ``value``.  ``config_echo`` carries every input
-    needed to replay the run exactly; ``elapsed`` (seconds) is informational
-    and excluded from determinism guarantees.
+    value and ending at ``value``.  ``config_echo`` records the algorithm,
+    size, criterion, budget, seed and set hyperparameters; a run made through
+    ``run`` can be replayed from it (``OptimizerConfig.from_echo``), while an
+    ``oasa_search`` echo holds only the array's shape, not the array.
+    ``elapsed`` (seconds) is informational and excluded from determinism
+    guarantees.
     """
 
     best: np.ndarray
@@ -117,11 +150,8 @@ def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra)
         "max_evaluations": int(config.max_evaluations),
         "seed": int(config.seed.seed),
         "stream": int(config.seed.stream),
-        "alpha": config.alpha,
-        "column_mode": config.column_mode,
     }
-    for name in ("t0", "moves_per_temp", "population", "pmut", "swarm",
-                 "same_num_p", "same_num_g", "weight"):
+    for name in _ECHOED:
         v = getattr(config, name)
         if v is not None:
             d[name] = v
@@ -175,22 +205,27 @@ def _result(budget: _Budget, started: float, echo: dict, extras: dict | None = N
 
 
 def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
-             budget: _Budget, propose_move, inspect: Inspect = None,
+             budget: _Budget, propose, inspect: Inspect = None,
              on_commit=None) -> None:
     """Anneal until the budget runs out.
 
-    Per move: ``propose_move`` picks (col, i, j); downhill and tying proposals
-    are accepted outright, uphill ones with probability exp(-delta/T) (one
-    uniform draw, taken only when delta > 0).  Temperature multiplies by
-    alpha every ``moves_per_temp`` moves.  ``on_commit(col, i, j)`` runs after
-    each accepted swap is applied to ``ev``.
+    Per move: the column cycles 0..k-1 (or is a uniform draw when
+    ``column_mode='random'``) and ``propose(col)`` picks the rows (i, j) to
+    swap in it; downhill and tying proposals are accepted outright, uphill
+    ones with probability exp(-delta/T) (one uniform draw, taken only when
+    delta > 0).  Temperature multiplies by alpha every ``moves_per_temp``
+    moves.  ``on_commit(col, i, j)`` runs after each accepted swap is applied
+    to ``ev``.
     """
     cur = ev.value()
     t = config.t0 if config.t0 is not None else 0.1 * cur
-    mpt = config.moves_per_temp if config.moves_per_temp is not None else 10 * ev.k
+    k = ev.k
+    mpt = config.moves_per_temp if config.moves_per_temp is not None else 10 * k
+    cycle = config.column_mode == "cycle"
     move = 0
     while not budget.exhausted():
-        col, i, j = propose_move(move)
+        col = move % k if cycle else int(gen.integers(k))
+        i, j = propose(col)
         if inspect is not None:
             Xc = ev.X.copy()
             Xc[i, col], Xc[j, col] = Xc[j, col], Xc[i, col]
@@ -209,17 +244,6 @@ def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
         move += 1
         if move % mpt == 0:
             t *= config.alpha
-
-
-def _any_swap(gen: np.random.Generator, config: OptimizerConfig, n: int, k: int):
-    """Proposer of a swap of two uniform distinct rows within a column."""
-
-    def propose(move: int):
-        col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
-        i, j = two_distinct(gen, n)
-        return col, i, j
-
-    return propose
 
 
 def _init_sa(design: np.ndarray, spec: CriterionSpec, budget: _Budget,
@@ -243,7 +267,7 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     gen = config.seed.generator()
     budget = _Budget(config.max_evaluations)
     ev = _init_sa(random_lhd(n, k, gen), spec, budget, inspect)
-    _sa_loop(ev, gen, config, budget, _any_swap(gen, config, n, k), inspect)
+    _sa_loop(ev, gen, config, budget, lambda col: two_distinct(gen, n), inspect)
     return _result(budget, started, _echo(config, ev.spec, n, k))
 
 
@@ -264,15 +288,14 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
         for c in range(k)
     ]
 
-    def propose(move: int):
-        col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
+    def propose(col: int):
         i = int(gen.integers(n))
         grp = groups[col][oa.cells[i, col] - 1]
         r = int(gen.integers(len(grp) - 1))
         j = int(grp[r])
         if j == i:
             j = int(grp[-1])
-        return col, i, j
+        return i, j
 
     _sa_loop(ev, gen, config, budget, propose, inspect)
     echo = _echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength])
@@ -285,9 +308,12 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
     """Annealing on the weighted combination w*(avg squared correlation) +
     (1-w)*(normalized phi_p); the normalization upper proxy is the starting
     design's phi_p.  Reports both constituents of the best design.
+    ``config.weight``, when set, must be ``w``.
     """
     if not 0.0 <= w <= 1.0:
         raise InvalidConfigError(f"weight must be in [0,1], got {w}")
+    if config.weight is not None and config.weight != w:
+        raise InvalidConfigError(f"config.weight {config.weight} differs from w = {w}")
     spec = CriterionSpec("combo", p=p, q=q, weight=w)
     result = sa_search(n, k, spec, config, inspect)
     best = result.best
@@ -309,7 +335,8 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     Stage 2 anneals the assembled n-run design with swaps that exchange two
     same-bin entries of a column across slices, which preserves slice
     validity by construction.  Both stages count criterion evaluations
-    against the one budget.
+    against the one budget.  A ``combo`` upper proxy ``norm_upper`` is the
+    n-run design's: stage 1 takes each slice's own from its collapsed start.
     """
     started = time.perf_counter()
     t, m, n = slices.t, slices.m, slices.n
@@ -347,8 +374,8 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
                 inspect(X.copy())
 
         sub = _Budget(per_slice)
-        collapsed = _init_sa((X[rows] + t - 1) // t, spec, sub, None)
-        _sa_loop(collapsed, gen, config, sub, _any_swap(gen, config, m, k),
+        collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub, None)
+        _sa_loop(collapsed, gen, config, sub, lambda col: two_distinct(gen, m),
                  on_commit=apply_to_full)
         budget.used += sub.used  # collapsed evals count, best is full-design only
 
@@ -356,11 +383,10 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     ev = _init_sa(X, spec, budget, inspect)
     rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
-    def propose(move: int):
-        col = move % k if config.column_mode == "cycle" else int(gen.integers(k))
+    def propose(col: int):
         b = int(gen.integers(m))
         v1, v2 = two_distinct(gen, t)
-        return col, int(rowof[col][b * t + v1]), int(rowof[col][b * t + v2])
+        return int(rowof[col][b * t + v1]), int(rowof[col][b * t + v2])
 
     def relink(col: int, i: int, j: int) -> None:
         rowof[col][ev.X[i, col] - 1] = i
@@ -375,6 +401,24 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 # ---------------------------------------------------------------------------
 # Population methods
 # ---------------------------------------------------------------------------
+
+
+def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, gen: np.random.Generator,
+                   budget: _Budget, inspect: Inspect) -> tuple[list[np.ndarray], list[float]]:
+    """Up to ``count`` random designs and their values, one evaluation each;
+    the design is drawn before the budget is checked."""
+    designs, vals = [], []
+    for _ in range(count):
+        X = np.array(random_lhd(n, k, gen))
+        if budget.exhausted():
+            break
+        if inspect is not None:
+            inspect(X.copy())
+        v = crit.evaluate(X, spec)
+        budget.record(v, X)
+        designs.append(X)
+        vals.append(v)
+    return designs, vals
 
 
 def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
@@ -394,19 +438,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     pmut = config.pmut if config.pmut is not None else 0.25
     budget = _Budget(config.max_evaluations)
     spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-
-    pop: list[np.ndarray] = []
-    vals: list[float] = []
-    for _ in range(pop_size):
-        X = np.array(random_lhd(n, k, gen))
-        if budget.exhausted():
-            break
-        if inspect is not None:
-            inspect(X.copy())
-        v = crit.evaluate(X, spec)
-        budget.record(v, X)
-        pop.append(X)
-        vals.append(v)
+    pop, vals = _random_starts(pop_size, n, k, spec, gen, budget, inspect)
 
     while not budget.exhausted():
         elite = int(np.argmin(vals))
@@ -482,19 +514,7 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     pmut = config.pmut if config.pmut is not None else 1.0 / k
     budget = _Budget(config.max_evaluations)
     spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-
-    particles: list[np.ndarray] = []
-    vals: list[float] = []
-    for _ in range(swarm):
-        X = np.array(random_lhd(n, k, gen))
-        if budget.exhausted():
-            break
-        if inspect is not None:
-            inspect(X.copy())
-        v = crit.evaluate(X, spec)
-        budget.record(v, X)
-        particles.append(X)
-        vals.append(v)
+    particles, vals = _random_starts(swarm, n, k, spec, gen, budget, inspect)
 
     pbest = [X.copy() for X in particles]
     pvals = list(vals)
@@ -538,3 +558,49 @@ def _pin_combo(spec: CriterionSpec, n: int, k: int, gen_seed: RngStream) -> Crit
         return spec
     probe = random_lhd(n, k, gen_seed)
     return replace(spec, norm_upper=crit.phi_p(probe, spec.p, spec.q))
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
+def load_oa(name_or_path: str) -> OrthogonalArray:
+    """An OA from a bundled catalog name, or from a CSV path with its JSON sidecar."""
+    if Path(name_or_path).exists():
+        return read_oa(name_or_path)
+    return good_oa_catalog(name_or_path)
+
+
+def missing_inputs(algorithm: str, **given) -> list[str]:
+    """The names in ``NEEDS[algorithm]`` that ``given`` holds as None."""
+    return [name for name in NEEDS[algorithm] if name in given and given[name] is None]
+
+
+def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
+        k: int | None = None, *, slices: int | None = None,
+        oa: str | None = None) -> SearchResult:
+    """Run ``config.algorithm`` on the inputs ``NEEDS`` names for it.
+
+    ``oa`` resolves through ``load_oa`` and must match a given n, k; its
+    name goes into the echo as ``oa_name``, so the run replays from the
+    echo alone.  The search functions are looked up when called, so a
+    wrapper installed on ``lhdopt.search.<name>_search`` sees this call.
+    """
+    alg = config.algorithm
+    missing = missing_inputs(alg, n=n, k=k, weight=config.weight, slices=slices, oa=oa)
+    if missing:
+        raise InvalidConfigError(f"{alg} needs {' and '.join(missing)}")
+    if alg == "oasa":
+        arr = load_oa(oa)
+        if any(v is not None and v != want for v, want in ((n, arr.N), (k, arr.K))):
+            raise InvalidConfigError(
+                f"(n, k) = ({n}, {k}) does not match {oa} = ({arr.N}, {arr.K})")
+        result = oasa_search(arr, spec, config)
+        result.config_echo["oa_name"] = oa
+        return result
+    if alg == "sa-multiobj":
+        return sa_multiobj_search(n, k, config.weight, config, p=spec.p, q=spec.q)
+    if alg == "sa-sliced":
+        return sliced_sa_search(make_slices(n, slices), k, spec, config)
+    return {"sa": sa_search, "ga": ga_search, "lapso": lapso_search}[alg](n, k, spec, config)

@@ -11,7 +11,9 @@ from lhdopt.benchmark import (
     run_benchmark,
 )
 from lhdopt.cli import main
+from lhdopt.constructions import good_oa_catalog
 from lhdopt.errors import InvalidConfigError
+from lhdopt.io import write_oa
 
 
 def small_spec(**overrides):
@@ -53,6 +55,12 @@ class TestSpecParsing:
                              ("criterion", {"kind": "phi_p", "q": True})]:
             with pytest.raises(InvalidConfigError):
                 small_spec(**{field: value})
+
+    @pytest.mark.parametrize("alg,field", [("sa-multiobj", "'weight'"),
+                                           ("sa-sliced", "'slices_t'"), ("oasa", "'oa'")])
+    def test_missing_field_is_named(self, alg, field):
+        with pytest.raises(InvalidConfigError, match=f"{alg} needs the spec field {field}$"):
+            small_spec(algorithms=["sa", alg])
 
     def test_cell_streams_are_distinct_and_stable(self):
         s1 = cell_stream("sa", 4, 2, 1)
@@ -103,6 +111,14 @@ class TestRunBenchmark:
                          replications=1, budget=500)
         with pytest.raises(InvalidConfigError):
             run_benchmark(bad)
+
+    def test_oa_field_resolves_like_the_cli_option(self, tmp_path):
+        path = write_oa(tmp_path / "oa9.csv", good_oa_catalog("OA(9,4,3,2)"))
+        rows = {}
+        for oa in ("OA(9,4,3,2)", str(path)):
+            spec = small_spec(grid=[[9, 4]], algorithms=["oasa"], oa=oa, budget=300)
+            rows[oa] = [r["value"] for r in run_benchmark(spec)[0]]
+        assert rows["OA(9,4,3,2)"] == rows[str(path)]
 
 
 class TestBenchmarkCli:

@@ -5,13 +5,50 @@ import json
 import numpy as np
 import pytest
 
-from lhdopt import _kernels, max_abs_cor, phi_p, validate
+from lhdopt import (
+    CriterionSpec,
+    OptimizerConfig,
+    RngStream,
+    _kernels,
+    ga_search,
+    good_oa_catalog,
+    lapso_search,
+    make_slices,
+    max_abs_cor,
+    oasa_search,
+    phi_p,
+    sa_multiobj_search,
+    sa_search,
+    sliced_sa_search,
+    validate,
+)
 from lhdopt.cli import main, search_from_echo
+from lhdopt.errors import InvalidConfigError
 from lhdopt.io import read_design
 
 
 def run(args):
     return main(args)
+
+
+def _cfg(alg, budget, **kw):
+    return OptimizerConfig(algorithm=alg, max_evaluations=budget, seed=RngStream(3, 1), **kw)
+
+
+COMBO = CriterionSpec("combo", weight=0.5)
+
+# library runs made without the CLI, so without a top-level echo weight
+LIBRARY_RUNS = {
+    "sa-multiobj": lambda: sa_multiobj_search(6, 3, 0.5, _cfg("sa-multiobj", 600)),
+    "sa-multiobj-q2": lambda: sa_multiobj_search(6, 3, 0.8, _cfg("sa-multiobj", 600), p=10, q=2),
+    "sa-combo": lambda: sa_search(6, 3, COMBO, _cfg("sa", 600)),
+    "sa-sliced-combo": lambda: sliced_sa_search(make_slices(6, 3), 3, COMBO,
+                                                _cfg("sa-sliced", 600)),
+    "ga-combo": lambda: ga_search(6, 3, COMBO, _cfg("ga", 100, pmut=0.5)),
+    "lapso-combo": lambda: lapso_search(6, 3, COMBO, _cfg("lapso", 100, swarm=4)),
+    "sa-random-t0": lambda: sa_search(6, 3, CriterionSpec("maxpro"),
+                                      _cfg("sa", 600, column_mode="random", t0=0.2)),
+}
 
 
 class TestGenerate:
@@ -171,6 +208,37 @@ class TestSearch:
         replayed = search_from_echo(meta["config"])
         assert np.array_equal(replayed.best, read_design(out))
         assert replayed.value == meta["value"]
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_RUNS))
+    def test_replay_of_library_runs(self, name):
+        result = LIBRARY_RUNS[name]()
+        replayed = search_from_echo(result.config_echo)
+        assert np.array_equal(replayed.best, result.best)
+        assert replayed.value == result.value
+
+    def test_library_oasa_echo_has_no_array(self):
+        result = oasa_search(good_oa_catalog("OA(9,4,3,2)"), CriterionSpec("phi_p"),
+                             _cfg("oasa", 200))
+        assert "oa_name" not in result.config_echo
+        with pytest.raises(InvalidConfigError, match="oasa needs oa$"):
+            search_from_echo(result.config_echo)
+
+    @pytest.mark.parametrize("nk", [["-n", "8", "-k", "4"], ["-n", "9", "-k", "3"]])
+    def test_oasa_size_mismatch_exits_2(self, tmp_path, capsys, nk):
+        code = run(["search", "--alg", "oasa", "--oa", "OA(9,4,3,2)", *nk, "--budget", "100",
+                    "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "does not match OA(9,4,3,2) = (9, 4)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,missing", [
+        (["--alg", "sa", "-k", "3"], "sa needs n"),
+        (["--alg", "sa-multiobj", "-n", "6", "-k", "3"], "sa-multiobj needs weight"),
+        (["--alg", "sa-sliced", "-n", "6", "-k", "3"], "sa-sliced needs slices"),
+        (["--alg", "oasa"], "oasa needs oa"),
+    ])
+    def test_missing_input_exits_2(self, tmp_path, capsys, args, missing):
+        assert run(["search", *args, "--budget", "100", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.strip() == f"lhdopt: {missing}"
 
 
 class TestEvaluate:

@@ -26,7 +26,9 @@ from lhdopt import (
 )
 from lhdopt.constructions import collapse_to_oa, make_oa
 from lhdopt.criteria import evaluate
+from lhdopt import search as S
 from lhdopt.errors import InvalidConfigError, InvalidOAError
+from lhdopt.io import write_oa
 from lhdopt.rng import two_distinct
 from lhdopt.search import match_swaps
 
@@ -185,6 +187,13 @@ class TestSaMultiobj:
         with pytest.raises(InvalidConfigError):
             sa_multiobj_search(6, 3, 1.2, cfg("sa-multiobj", budget=100))
 
+    def test_config_weight_must_match_w(self):
+        with pytest.raises(InvalidConfigError, match="differs"):
+            sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=100, weight=0.2))
+        same = sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=300, weight=0.8))
+        unset = sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=300))
+        assert same.value == unset.value
+
 
 class TestSlicedSa:
     def test_every_visited_design_is_slice_valid(self):
@@ -281,6 +290,54 @@ class TestLapso:
         seen = []
         lapso_search(6, 3, PHI, cfg("lapso", budget=400), inspect=seen.append)
         assert all(validate(X).ok for X in seen)
+
+
+class TestRun:
+    @pytest.mark.parametrize("alg,kw,missing", [
+        ("sa", {"k": 3}, "n"),
+        ("ga", {}, "n and k"),
+        ("lapso", {"n": 6}, "k"),
+        ("sa-multiobj", {"n": 6, "k": 3}, "weight"),
+        ("sa-sliced", {"n": 6, "k": 3}, "slices"),
+        ("oasa", {}, "oa"),
+    ])
+    def test_missing_input_is_a_typed_error(self, alg, kw, missing):
+        with pytest.raises(InvalidConfigError, match=f"{alg} needs {missing}$"):
+            S.run(cfg(alg, budget=100), PHI, **kw)
+
+    def test_needs_names_every_algorithm(self):
+        assert S.ALGORITHMS == tuple(S.NEEDS)
+        assert S.ALGORITHMS == ("sa", "oasa", "sa-multiobj", "sa-sliced", "ga", "lapso")
+
+    @pytest.mark.parametrize("n,k", [(8, None), (None, 3), (9, 3)])
+    def test_oasa_size_must_match_the_array(self, n, k):
+        with pytest.raises(InvalidConfigError, match="does not match"):
+            S.run(cfg("oasa", budget=100), PHI, n, k, oa="OA(9,4,3,2)")
+
+    def test_dispatch_equals_the_search_functions(self):
+        pairs = [
+            (S.run(cfg("sa", budget=500), PHI, 6, 3), sa_search(6, 3, PHI, cfg("sa", budget=500))),
+            (S.run(cfg("sa-multiobj", budget=500, weight=0.3), PHI, 6, 3),
+             sa_multiobj_search(6, 3, 0.3, cfg("sa-multiobj", budget=500))),
+            (S.run(cfg("sa-sliced", budget=500), PHI, 6, 2, slices=3),
+             sliced_sa_search(make_slices(6, 3), 2, PHI, cfg("sa-sliced", budget=500))),
+            (S.run(cfg("ga", budget=100), PHI, 6, 3), ga_search(6, 3, PHI, cfg("ga", budget=100))),
+            (S.run(cfg("lapso", budget=100), PHI, 6, 3),
+             lapso_search(6, 3, PHI, cfg("lapso", budget=100))),
+        ]
+        for a, b in pairs:
+            assert np.array_equal(a.best, b.best) and a.value == b.value
+
+    def test_oasa_from_catalog_name_or_csv_path(self, tmp_path):
+        oa = good_oa_catalog("OA(9,4,3,2)")
+        path = write_oa(tmp_path / "oa9.csv", oa)
+        by_name = S.run(cfg("oasa", budget=300), PHI, 9, 4, oa="OA(9,4,3,2)")
+        by_path = S.run(cfg("oasa", budget=300), PHI, oa=str(path))
+        direct = oasa_search(oa, PHI, cfg("oasa", budget=300))
+        assert by_name.value == by_path.value == direct.value
+        assert by_name.config_echo["oa_name"] == "OA(9,4,3,2)"
+        assert by_path.config_echo["oa_name"] == str(path)
+        assert "oa_name" not in direct.config_echo
 
 
 class TestBudgetAccounting:
