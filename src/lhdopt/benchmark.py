@@ -117,7 +117,7 @@ def _run_cell(spec: BenchmarkSpec, algorithm: str, n: int, k: int, rep: int) -> 
         "algorithm": algorithm,
         "n": n,
         "k": k,
-        "criterion": spec.criterion.kind,
+        "criterion": res.config_echo["criterion"]["kind"],
         "rep": rep,
         "seed": spec.base_seed,
         "stream": stream,

@@ -101,6 +101,9 @@ class TestRunBenchmark:
         )
         rows, _ = run_benchmark(spec)
         assert len(rows) == 2
+        # each row names the criterion its value is: sa-multiobj optimises combo
+        assert {r["algorithm"]: r["criterion"] for r in rows} == {
+            "sa-sliced": "phi_p", "sa-multiobj": "combo"}
 
     def test_oasa_grid_must_match(self):
         spec = small_spec(grid=[[9, 4]], algorithms=["oasa"], oa="OA(9,4,3,2)",
