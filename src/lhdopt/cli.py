@@ -129,21 +129,9 @@ def _criterion_from_args(args, kind: str) -> CriterionSpec:
 
 
 def _config_from_args(args) -> S.OptimizerConfig:
-    return S.OptimizerConfig(
-        algorithm=args.alg,
-        max_evaluations=args.budget,
-        seed=RngStream(args.seed, args.stream),
-        t0=args.t0,
-        alpha=args.alpha,
-        moves_per_temp=args.moves_per_temp,
-        column_mode=args.column_mode,
-        population=args.pop,
-        pmut=args.pmut,
-        swarm=args.swarm,
-        same_num_p=args.same_num_p,
-        same_num_g=args.same_num_g,
-        weight=args.weight,
-    )
+    return S.OptimizerConfig(algorithm=args.alg, max_evaluations=args.budget,
+                             seed=RngStream(args.seed, args.stream),
+                             **{name: getattr(args, name) for name in S.HYPERPARAMETERS})
 
 
 def run_search_from_args(args) -> S.SearchResult:
@@ -259,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=0.95, help="SA cooling rate")
     s.add_argument("--moves-per-temp", type=int, help="SA moves per temperature")
     s.add_argument("--column-mode", choices=("cycle", "random"), default="cycle")
-    s.add_argument("--pop", type=int, default=10, help="GA population size")
+    s.add_argument("--pop", type=int, default=10, dest="population", help="GA population size")
     s.add_argument("--pmut", type=float, help="GA/LaPSO mutation probability")
     s.add_argument("--swarm", type=int, default=10, help="LaPSO swarm size")
     s.add_argument("--same-num-p", type=int, help="LaPSO swaps toward personal best")

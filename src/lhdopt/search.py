@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -46,10 +46,6 @@ NEEDS = {
     "lapso": ("n", "k"),
 }
 ALGORITHMS = tuple(NEEDS)
-
-# OptimizerConfig fields that a run's ``config_echo`` carries when set
-_ECHOED = ("alpha", "column_mode", "t0", "moves_per_temp", "population", "pmut",
-           "swarm", "same_num_p", "same_num_g", "weight")
 
 Inspect = Callable[[np.ndarray], None] | None
 
@@ -113,10 +109,16 @@ class OptimizerConfig:
         """The config of a run, rebuilt from its ``config_echo``.  A ``combo``
         criterion's weight is the one the run optimised, so it wins over the
         echo's own ``weight``."""
-        kw = {name: echo[name] for name in _ECHOED if name in echo}
+        kw = {name: echo[name] for name in HYPERPARAMETERS if name in echo}
         kw["weight"] = echo["criterion"].get("weight", echo.get("weight"))
         return cls(algorithm=echo["algorithm"], max_evaluations=echo["max_evaluations"],
                    seed=RngStream(echo["seed"], echo["stream"]), **kw)
+
+
+# OptimizerConfig fields besides the algorithm, budget and seed; a run's
+# ``config_echo`` carries those that are set
+HYPERPARAMETERS = tuple(f.name for f in fields(OptimizerConfig)
+                        if f.name not in ("algorithm", "max_evaluations", "seed"))
 
 
 @dataclass
@@ -125,11 +127,11 @@ class SearchResult:
 
     ``trace`` lists (evaluation index, best-so-far value), non-increasing in
     value and ending at ``value``.  ``config_echo`` records the algorithm,
-    size, criterion, budget, seed and set hyperparameters; a run made through
-    ``run`` can be replayed from it (``OptimizerConfig.from_echo``), while an
-    ``oasa_search`` echo holds only the array's shape, not the array.
-    ``elapsed`` (seconds) is informational and excluded from determinism
-    guarantees.
+    size, criterion, budget, seed and set hyperparameters, enough to replay
+    the run (``cli.search_from_echo``) except for a direct ``oasa_search``
+    call: its echo holds the array's shape, and only ``run`` adds the
+    ``oa_name`` that locates the array.  ``elapsed`` (seconds) is
+    informational and excluded from determinism guarantees.
     """
 
     best: np.ndarray
@@ -151,7 +153,7 @@ def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra)
         "seed": int(config.seed.seed),
         "stream": int(config.seed.stream),
     }
-    for name in _ECHOED:
+    for name in HYPERPARAMETERS:
         v = getattr(config, name)
         if v is not None:
             d[name] = v

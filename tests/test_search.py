@@ -305,10 +305,6 @@ class TestRun:
         with pytest.raises(InvalidConfigError, match=f"{alg} needs {missing}$"):
             S.run(cfg(alg, budget=100), PHI, **kw)
 
-    def test_needs_names_every_algorithm(self):
-        assert S.ALGORITHMS == tuple(S.NEEDS)
-        assert S.ALGORITHMS == ("sa", "oasa", "sa-multiobj", "sa-sliced", "ga", "lapso")
-
     @pytest.mark.parametrize("n,k", [(8, None), (None, 3), (9, 3)])
     def test_oasa_size_must_match_the_array(self, n, k):
         with pytest.raises(InvalidConfigError, match="does not match"):
