@@ -36,7 +36,8 @@ KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 # bounds its float drift from long accept streams well below the 1e-10 contract
 _REFRESH_EVERY = 4096
 
-# rows of the maxpro pair products P built per gap_products call at setup
+# rows of the maxpro pair products P per gap_products call at setup, which
+# bounds the call's k x rows x n temporary (6 MiB at 500 x 50)
 _P_ROWS = 32
 
 # most commits between recomputations of the phi_p pair sum from the exact
