@@ -55,6 +55,10 @@ def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return d.prod(axis=0)
 
 
+# bytes of float64 gaps per block of row pairs in ``maxpro_sum``
+_PAIR_BLOCK_BYTES = 2**20
+
+
 @functools.lru_cache(maxsize=32)
 def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``np.triu_indices(m, k=1)``: the index pairs a < b of m items,
@@ -65,15 +69,10 @@ def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _pair_gaps(X: np.ndarray) -> np.ndarray:
-    """C(n,2) x k float64 gaps x_a - x_b over the row pairs a < b."""
-    a, b = pair_indices(X.shape[0])
-    return (X[a] - X[b]).astype(np.float64)
-
-
 def _pair_distances(X: np.ndarray, q: int) -> np.ndarray:
     """Distances d_ab over the row pairs a < b, in ``pair_indices`` order."""
-    diff = _pair_gaps(X)
+    a, b = pair_indices(X.shape[0])
+    diff = (X[a] - X[b]).astype(np.float64)
     if q == 1:
         return np.abs(diff).sum(axis=1)
     return np.sqrt((diff * diff).sum(axis=1))
@@ -147,9 +146,19 @@ def phi_delta(S: np.ndarray, W: np.ndarray, x: np.ndarray, i: int, j: int,
 
 def maxpro_sum(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero,
-    ``inf`` if a pair product overflows float64."""
-    diff = _pair_gaps(X)
-    return reciprocal_sum((diff * diff).prod(axis=1))
+    ``inf`` if a pair product overflows float64.
+
+    The pair products are filled in blocks of about 1 MiB of gaps, each
+    multiplied in the order l = 0..k-1, and summed once over all pairs, so
+    the result does not depend on the block size.
+    """
+    a, b = pair_indices(X.shape[0])
+    prods = np.empty(a.size)
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * X.shape[1]))
+    for lo in range(0, a.size, step):
+        diff = (X[a[lo:lo + step]] - X[b[lo:lo + step]]).astype(np.float64)
+        prods[lo:lo + step] = (diff * diff).prod(axis=1)
+    return reciprocal_sum(prods)
 
 
 def reciprocal_sum(pairs: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -32,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     UnknownNameError,
 )
-from .rng import RngStream, as_generator, permutation
+from .rng import Draws, RngStream, as_draws, permutation
 
 # ---------------------------------------------------------------------------
 # Orthogonal arrays
@@ -122,7 +123,8 @@ def good_oa_catalog(name: str) -> OrthogonalArray:
     return make_oa(cells, s=meta["s"], strength=meta["t"])
 
 
-def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | np.random.Generator | None = None) -> np.ndarray:
+def oa_to_lhd(oa: OrthogonalArray,
+              rng: RngStream | Draws | np.random.Generator | None = None) -> np.ndarray:
     """Expand an OA into an N-run LHD by replacing each symbol's positions
     with distinct fine levels (Tang-style expansion).
 
@@ -133,17 +135,17 @@ def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | np.random.Generator | None =
     ceil(x*s/N) recovers the source array exactly.
     """
     validate_oa(oa.cells, oa.s, oa.strength)
-    gen = None if rng is None else as_generator(rng)
     N, K, s = oa.N, oa.K, oa.s
     reps = N // s
     X = np.empty((N, K), dtype=np.int64)
-    for c in range(K):
-        for m in range(1, s + 1):
-            pos = np.nonzero(oa.cells[:, c] == m)[0]
-            fine = np.arange((m - 1) * reps + 1, m * reps + 1, dtype=np.int64)
-            if gen is not None:
-                fine = fine[permutation(gen, reps) - 1]
-            X[pos, c] = fine
+    with nullcontext() if rng is None else as_draws(rng) as draws:
+        for c in range(K):
+            for m in range(1, s + 1):
+                pos = np.nonzero(oa.cells[:, c] == m)[0]
+                fine = np.arange((m - 1) * reps + 1, m * reps + 1, dtype=np.int64)
+                if draws is not None:
+                    fine = fine[permutation(draws, reps) - 1]
+                X[pos, c] = fine
     X.setflags(write=False)
     return X
 

@@ -20,7 +20,7 @@ from .errors import (
     InvalidDimensionError,
     UnsupportedExponentError,
 )
-from .rng import RngStream, as_generator, permutation
+from .rng import Draws, RngStream, as_draws, permutation
 
 
 def _freeze(X: np.ndarray) -> np.ndarray:
@@ -28,18 +28,19 @@ def _freeze(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def random_lhd(n: int, k: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+def random_lhd(n: int, k: int, rng: RngStream | Draws | np.random.Generator) -> np.ndarray:
     """Random LHD: each column an independent Fisher-Yates permutation of 1..n.
 
     Deterministic in the stream: the same (seed, stream) always yields the
-    same design.  Columns are drawn left to right.
+    same design.  Columns are drawn left to right.  A ``Generator`` is left
+    where the same draws made through NumPy would leave it (``rng.as_draws``).
     """
     if n < 2 or k < 1:
         raise InvalidDimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    gen = as_generator(rng)
     X = np.empty((n, k), dtype=np.int64)
-    for c in range(k):
-        X[:, c] = permutation(gen, n)
+    with as_draws(rng) as draws:
+        for c in range(k):
+            X[:, c] = permutation(draws, n)
     return _freeze(X)
 
 

@@ -1,25 +1,49 @@
 """Deterministic randomness for all stochastic operations.
 
 Every randomized operation in the package draws from a counter-based Philox
-(4x64, 10 rounds) generator keyed by a ``(seed, stream)`` pair.  Identical
+(4x64, 10 rounds) bit generator keyed by a ``(seed, stream)`` pair.  Identical
 pairs produce identical draw sequences on every platform, and distinct stream
 ids give statistically independent streams for the same seed, which is how
 the benchmark harness isolates replications.
 
-Bounded integer draws use :meth:`numpy.random.Generator.integers` (Lemire
-rejection sampling) and permutations use an explicit descending Fisher-Yates
-so the exact draw sequence is documented, not an implementation detail.
+The draw sequence is defined here, on Philox's raw 64-bit output alone
+(``bit_generator.random_raw``), by a ``Draws`` consumer:
+
+- a bounded draw ``below(b)``, uniform on 0..b-1 for 1 <= b < 2^32, takes
+  32-bit halves of the raw words, the lower half of a word first and its
+  upper half kept pending for the next bounded draw, and maps each half u
+  by Lemire's multiply-and-reject (Lemire 2019, ACM TOMACS 29(1)): with
+  m = u * b, return m >> 32 unless the low 32 bits of m fall below
+  2^32 mod b, in which case the next half is tried.  ``below(1)`` takes
+  nothing; any other bound raises ``InvalidParameterError``;
+- ``random()`` takes one whole word w and returns (w >> 11) * 2^-53; a
+  pending half stays pending;
+- ``below_many(b, count)`` is ``count`` bounded draws in order.
+
+These are the rules NumPy's ``Generator.integers`` (default int64 dtype,
+bounds below 2^32) and ``Generator.random`` apply to the same bit generator,
+so a ``Draws`` and a ``Generator`` on one stream give the same numbers;
+``tests/test_rng.py`` checks that on every supported NumPy.  Permutations
+are a descending Fisher-Yates over bounded draws.  ``as_draws`` also lends a
+caller's ``np.random.Generator`` to the consumer and hands it back exactly
+where the same draws made through NumPy would have left it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 _U64 = 2**64
+_U32 = 2**32
+_LOW32 = _U32 - 1
+_BLOCK = 4096         # raw words pulled from the bit generator at a time
+_DOUBLE = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -36,38 +60,145 @@ class RngStream:
                     f"{name} must be an integer in [0, 2^64), got {v!r}"
                 )
 
+    def bit_generator(self) -> np.random.Philox:
+        """A fresh Philox bit generator positioned at the start of the stream."""
+        return np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
+
     def generator(self) -> np.random.Generator:
-        """A fresh Philox generator positioned at the start of the stream."""
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """A NumPy generator on the stream, for callers that want NumPy's API."""
+        return np.random.Generator(self.bit_generator())
+
+    def draws(self) -> "Draws":
+        """The stream's draw sequence, from its start."""
+        return Draws(self.bit_generator())
 
 
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream description or an already-built generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise InvalidParameterError(f"expected RngStream or Generator, got {type(rng)!r}")
+class Draws:
+    """Bounded integers and uniforms replayed from a bit generator's raw words.
+
+    Words are pulled in blocks of 4096 into a list.  ``_half`` mirrors
+    NumPy's ``has_uint32``/``uinteger`` pair: the upper half of the last word
+    split for a bounded draw, pending when it is >= 0 and spent when it is
+    stored bit-inverted (< 0), so the spent value is still known when a
+    generator is handed back.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos", "_half", "_pulled")
+
+    def __init__(self, bit_generator, half: int = ~0):
+        self._bitgen = bit_generator
+        self._words: list[int] = []
+        self._pos = 0
+        self._half = half
+        self._pulled = 0
+
+    def _refill(self) -> None:
+        self._words = self._bitgen.random_raw(_BLOCK).tolist()
+        self._pulled += _BLOCK
+        self._pos = 0
+
+    @property
+    def words_used(self) -> int:
+        """Raw words taken so far, counting a split word once."""
+        return self._pulled - len(self._words) + self._pos
+
+    def below(self, b: int) -> int:
+        """Uniform integer in 0..b-1, as ``Generator.integers(b)`` draws it;
+        ``b`` is a Python int (a NumPy one could overflow ``u * b``)."""
+        if b < 2 or b >= _U32:
+            if b == 1:
+                return 0
+            raise InvalidParameterError(f"bound must be in [1, 2^32), got {b}")
+        while True:
+            u = self._half
+            if u < 0:
+                pos = self._pos
+                if pos == len(self._words):
+                    self._refill()
+                    pos = 0
+                w = self._words[pos]
+                self._pos = pos + 1
+                self._half = w >> 32
+                u = w & _LOW32
+            else:
+                self._half = ~u
+            m = u * b
+            low = m & _LOW32
+            # the rejection threshold 2^32 mod b is below b, so the modulo
+            # is only taken for the rare low < b
+            if low >= b or low >= _U32 % b:
+                return m >> 32
+
+    def below_many(self, b: int, count: int) -> list[int]:
+        """``count`` bounded draws in order, as ``Generator.integers(b, size=count)``."""
+        below = self.below
+        return [below(b) for _ in range(count)]
+
+    def random(self) -> float:
+        """Uniform double in [0, 1) from one whole word, as ``Generator.random()``."""
+        pos = self._pos
+        if pos == len(self._words):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return (self._words[pos] >> 11) * _DOUBLE
 
 
-def permutation(gen: np.random.Generator, n: int) -> np.ndarray:
+@contextmanager
+def as_draws(rng: "RngStream | Draws | np.random.Generator") -> Iterator[Draws]:
+    """The one adapter from what a caller passes to the draws the code takes.
+
+    An ``RngStream`` starts its own sequence and a ``Draws`` is used as is.
+    A ``Generator`` is lent for the block: its words are replayed, then its
+    bit generator is set back to its state on entry, advanced by the words
+    used and given the pending half, which is where NumPy's own calls for
+    the same draws would have left it.  Only bit generators that split
+    64-bit words for 32-bit draws (Philox, PCG64, PCG64DXSM, SFC64; not
+    MT19937) can be lent.
+    """
+    if isinstance(rng, Draws):
+        yield rng
+    elif isinstance(rng, RngStream):
+        yield rng.draws()
+    elif isinstance(rng, np.random.Generator):
+        bitgen = rng.bit_generator
+        start = bitgen.state
+        if "has_uint32" not in start:
+            raise InvalidParameterError(
+                f"{start['bit_generator']} does not split 64-bit words for bounded draws")
+        draws = Draws(bitgen, start["uinteger"] if start["has_uint32"] else ~start["uinteger"])
+        try:
+            yield draws
+        finally:
+            bitgen.state = start
+            bitgen.random_raw(draws.words_used)
+            end = bitgen.state
+            half = draws._half
+            end["has_uint32"], end["uinteger"] = (1, half) if half >= 0 else (0, ~half)
+            bitgen.state = end
+    else:
+        raise InvalidParameterError(
+            f"expected RngStream, Draws or Generator, got {type(rng)!r}")
+
+
+def permutation(draws: Draws, n: int) -> np.ndarray:
     """Uniform random permutation of 1..n via descending Fisher-Yates.
 
-    Consumes exactly n-1 bounded integer draws: for i = n-1, ..., 1 draw
+    Consumes exactly n-1 bounded draws: for i = n-1, ..., 1 draw
     j ~ U{0..i} and swap positions i and j.
     """
     a = list(range(1, n + 1))
+    below = draws.below
     for i in range(n - 1, 0, -1):
-        j = int(gen.integers(0, i + 1))
+        j = below(i + 1)
         a[i], a[j] = a[j], a[i]
     return np.array(a, dtype=np.int64)
 
 
-def two_distinct(gen: np.random.Generator, n: int) -> tuple[int, int]:
+def two_distinct(draws: Draws, n: int) -> tuple[int, int]:
     """Uniform ordered pair of distinct indices in 0..n-1 (two draws)."""
-    i = int(gen.integers(0, n))
-    j = int(gen.integers(0, n - 1))
+    i = draws.below(n)
+    j = draws.below(n - 1)
     if j >= i:
         j += 1
     return i, j

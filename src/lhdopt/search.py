@@ -32,7 +32,7 @@ from .criteria import CriterionSpec, Evaluator
 from .design import SliceStructure, make_slices, random_lhd
 from .errors import InvalidConfigError
 from .io import read_oa
-from .rng import RngStream, permutation, two_distinct
+from .rng import Draws, RngStream, permutation, two_distinct
 
 # algorithm -> the inputs of ``run`` it needs besides the criterion, budget
 # and seed; ``weight`` is ``config.weight``, ``slices`` the slice count t and
@@ -85,8 +85,9 @@ class OptimizerConfig:
             raise InvalidConfigError("seed must be an RngStream")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfigError(f"cooling rate alpha must be in (0,1), got {self.alpha}")
-        if self.t0 is not None and self.t0 <= 0.0:
-            raise InvalidConfigError(f"initial temperature t0 must be positive, got {self.t0}")
+        if self.t0 is not None and not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise InvalidConfigError(
+                f"initial temperature t0 must be positive and finite, got {self.t0}")
         if self.moves_per_temp is not None and self.moves_per_temp < 1:
             raise InvalidConfigError(f"moves_per_temp must be >= 1, got {self.moves_per_temp}")
         if self.column_mode not in ("cycle", "random"):
@@ -206,7 +207,7 @@ def _result(budget: _Budget, started: float, echo: dict, extras: dict | None = N
 # ---------------------------------------------------------------------------
 
 
-def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
+def _sa_loop(ev: Evaluator, draws: Draws, config: OptimizerConfig,
              budget: _Budget, propose, inspect: Inspect = None,
              on_commit=None) -> None:
     """Anneal until the budget runs out.
@@ -226,7 +227,7 @@ def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
     cycle = config.column_mode == "cycle"
     move = 0
     while not budget.exhausted():
-        col = move % k if cycle else int(gen.integers(k))
+        col = move % k if cycle else draws.below(k)
         i, j = propose(col)
         if inspect is not None:
             Xc = ev.X.copy()
@@ -236,7 +237,7 @@ def _sa_loop(ev: Evaluator, gen: np.random.Generator, config: OptimizerConfig,
         delta = cand - cur
         accept = delta <= 0.0
         if not accept:
-            accept = t > 0.0 and gen.random() < math.exp(-delta / t)
+            accept = t > 0.0 and draws.random() < math.exp(-delta / t)
         if accept:
             ev.commit(col, i, j)
             cur = cand
@@ -266,10 +267,10 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     Returns the best design visited, not the final state.
     """
     started = time.perf_counter()
-    gen = config.seed.generator()
+    draws = config.seed.draws()
     budget = _Budget(config.max_evaluations)
-    ev = _init_sa(random_lhd(n, k, gen), spec, budget, inspect)
-    _sa_loop(ev, gen, config, budget, lambda col: two_distinct(gen, n), inspect)
+    ev = _init_sa(random_lhd(n, k, draws), spec, budget, inspect)
+    _sa_loop(ev, draws, config, budget, lambda col: two_distinct(draws, n), inspect)
     return _result(budget, started, _echo(config, ev.spec, n, k))
 
 
@@ -281,7 +282,7 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     """
     started = time.perf_counter()
     validate_oa(oa.cells, oa.s, oa.strength)
-    gen = config.seed.generator()
+    draws = config.seed.draws()
     budget = _Budget(config.max_evaluations)
     ev = _init_sa(oa_to_lhd(oa), spec, budget, inspect)
     n, k = oa.N, oa.K
@@ -291,15 +292,15 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     ]
 
     def propose(col: int):
-        i = int(gen.integers(n))
+        i = draws.below(n)
         grp = groups[col][oa.cells[i, col] - 1]
-        r = int(gen.integers(len(grp) - 1))
+        r = draws.below(len(grp) - 1)
         j = int(grp[r])
         if j == i:
             j = int(grp[-1])
         return i, j
 
-    _sa_loop(ev, gen, config, budget, propose, inspect)
+    _sa_loop(ev, draws, config, budget, propose, inspect)
     echo = _echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength])
     return _result(budget, started, echo)
 
@@ -344,7 +345,7 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     t, m, n = slices.t, slices.m, slices.n
     if k < 1:
         raise InvalidConfigError(f"need k >= 1, got {k}")
-    gen = config.seed.generator()
+    draws = config.seed.draws()
     budget = _Budget(config.max_evaluations)
 
     # random slice-valid start: spread each bin's t values one per slice,
@@ -355,9 +356,9 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         fine = np.empty((t, m), dtype=np.int64)
         for b in range(m):
             vals = np.arange(b * t + 1, b * t + t + 1, dtype=np.int64)
-            fine[:, b] = vals[permutation(gen, t) - 1]
+            fine[:, b] = vals[permutation(draws, t) - 1]
         for s in range(t):
-            order = permutation(gen, m) - 1
+            order = permutation(draws, m) - 1
             X[slice_rows[s], c] = fine[s, order]
     if inspect is not None:
         inspect(X.copy())
@@ -377,7 +378,7 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 
         sub = _Budget(per_slice)
         collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub, None)
-        _sa_loop(collapsed, gen, config, sub, lambda col: two_distinct(gen, m),
+        _sa_loop(collapsed, draws, config, sub, lambda col: two_distinct(draws, m),
                  on_commit=apply_to_full)
         budget.used += sub.used  # collapsed evals count, best is full-design only
 
@@ -386,15 +387,15 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
     def propose(col: int):
-        b = int(gen.integers(m))
-        v1, v2 = two_distinct(gen, t)
+        b = draws.below(m)
+        v1, v2 = two_distinct(draws, t)
         return int(rowof[col][b * t + v1]), int(rowof[col][b * t + v2])
 
     def relink(col: int, i: int, j: int) -> None:
         rowof[col][ev.X[i, col] - 1] = i
         rowof[col][ev.X[j, col] - 1] = j
 
-    _sa_loop(ev, gen, config, budget, propose, inspect, relink)
+    _sa_loop(ev, draws, config, budget, propose, inspect, relink)
 
     echo = _echo(config, ev.spec, n, k, slices={"t": t, "m": m})
     return _result(budget, started, echo, {"stage1_evaluations": min(stage1_budget, budget.used)})
@@ -405,13 +406,13 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 # ---------------------------------------------------------------------------
 
 
-def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, gen: np.random.Generator,
+def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, draws: Draws,
                    budget: _Budget, inspect: Inspect) -> tuple[list[np.ndarray], list[float]]:
     """Up to ``count`` random designs and their values, one evaluation each;
     the design is drawn before the budget is checked."""
     designs, vals = [], []
     for _ in range(count):
-        X = np.array(random_lhd(n, k, gen))
+        X = np.array(random_lhd(n, k, draws))
         if budget.exhausted():
             break
         if inspect is not None:
@@ -435,12 +436,12 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     probability pmut.
     """
     started = time.perf_counter()
-    gen = config.seed.generator()
+    draws = config.seed.draws()
     pop_size = config.population
     pmut = config.pmut if config.pmut is not None else 0.25
     budget = _Budget(config.max_evaluations)
     spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-    pop, vals = _random_starts(pop_size, n, k, spec, gen, budget, inspect)
+    pop, vals = _random_starts(pop_size, n, k, spec, draws, budget, inspect)
 
     while not budget.exhausted():
         elite = int(np.argmin(vals))
@@ -452,11 +453,11 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
                 continue
             if budget.exhausted():
                 break
-            mask = gen.integers(0, 2, size=k).astype(bool)
+            mask = np.array(draws.below_many(2, k), dtype=bool)
             child = np.where(mask[None, :], best_parent, pop[idx])
             for c in range(k):
-                if gen.random() < pmut:
-                    i, j = two_distinct(gen, n)
+                if draws.random() < pmut:
+                    i, j = two_distinct(draws, n)
                     child[i, c], child[j, c] = child[j, c], child[i, c]
             if inspect is not None:
                 inspect(child.copy())
@@ -471,7 +472,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
 
 
 def match_swaps(column: np.ndarray, target: np.ndarray, count: int,
-                gen: np.random.Generator) -> np.ndarray:
+                draws: Draws) -> np.ndarray:
     """Up to ``count`` swaps moving ``column`` toward ``target``.
 
     Precondition: ``column`` is a rearrangement of ``target`` and its values
@@ -488,10 +489,11 @@ def match_swaps(column: np.ndarray, target: np.ndarray, count: int,
     cur = col.tolist()
     want = np.asarray(target).tolist()
     where = {v: r for r, v in enumerate(cur)}
+    below = draws.below
     for _ in range(count):
         if not diff:
             break
-        r = diff.pop(int(gen.integers(len(diff))))
+        r = diff.pop(below(len(diff)))
         r2 = where[want[r]]
         cur[r], cur[r2] = cur[r2], cur[r]
         where[cur[r]] = r
@@ -509,14 +511,14 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     Personal and global bests update right after the particle is evaluated.
     """
     started = time.perf_counter()
-    gen = config.seed.generator()
+    draws = config.seed.draws()
     swarm = config.swarm
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
     pmut = config.pmut if config.pmut is not None else 1.0 / k
     budget = _Budget(config.max_evaluations)
     spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-    particles, vals = _random_starts(swarm, n, k, spec, gen, budget, inspect)
+    particles, vals = _random_starts(swarm, n, k, spec, draws, budget, inspect)
 
     pbest = [X.copy() for X in particles]
     pvals = list(vals)
@@ -530,10 +532,10 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
                 break
             X = particles[pi]
             for c in range(k):
-                X[:, c] = match_swaps(X[:, c], pbest[pi][:, c], snp, gen)
-                X[:, c] = match_swaps(X[:, c], gbest[:, c], sng, gen)
-                if gen.random() < pmut:
-                    i, j = two_distinct(gen, n)
+                X[:, c] = match_swaps(X[:, c], pbest[pi][:, c], snp, draws)
+                X[:, c] = match_swaps(X[:, c], gbest[:, c], sng, draws)
+                if draws.random() < pmut:
+                    i, j = two_distinct(draws, n)
                     X[i, c], X[j, c] = X[j, c], X[i, c]
             if inspect is not None:
                 inspect(X.copy())
@@ -579,6 +581,13 @@ def missing_inputs(algorithm: str, **given) -> list[str]:
     return [name for name in NEEDS[algorithm] if name in given and given[name] is None]
 
 
+def check_criterion(algorithm: str, kind: str) -> None:
+    """Raise unless ``algorithm`` optimises criterion ``kind``: sa-multiobj
+    optimises combo, built from a phi_p or combo spec's p and q."""
+    if algorithm == "sa-multiobj" and kind not in ("phi_p", "combo"):
+        raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {kind}")
+
+
 def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
         k: int | None = None, *, slices: int | None = None,
         oa: str | None = None) -> SearchResult:
@@ -601,6 +610,7 @@ def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
         result = oasa_search(arr, spec, config)
         result.config_echo["oa_name"] = oa
         return result
+    check_criterion(alg, spec.kind)
     if alg == "sa-multiobj":
         return sa_multiobj_search(n, k, config.weight, config, p=spec.p, q=spec.q)
     if alg == "sa-sliced":

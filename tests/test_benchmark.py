@@ -62,6 +62,13 @@ class TestSpecParsing:
         with pytest.raises(InvalidConfigError, match=f"{alg} needs the spec field {field}$"):
             small_spec(algorithms=["sa", alg])
 
+    def test_sa_multiobj_criterion_checked_before_any_cell_runs(self):
+        with pytest.raises(InvalidConfigError, match="phi_p or combo, got maxpro$"):
+            small_spec(algorithms=["sa", "sa-multiobj"], weight=0.5,
+                       criterion={"kind": "maxpro"})
+        assert small_spec(algorithms=["sa-multiobj"], weight=0.5,
+                          criterion={"kind": "combo", "weight": 0.5}).algorithms == ("sa-multiobj",)
+
     def test_cell_streams_are_distinct_and_stable(self):
         s1 = cell_stream("sa", 4, 2, 1)
         assert s1 == cell_stream("sa", 4, 2, 1)

@@ -1,7 +1,8 @@
 """Bit-equality of the fast paths with their reference forms.
 
 The pair-indexed full kernels, the position-indexed ``match_swaps``, the
-list-based ``permutation``, the per-column ``gap_power_sums`` and the
+list-based ``permutation`` (drawing from ``rng.Draws``, their references
+from NumPy's ``Generator``), the per-column ``gap_power_sums`` and the
 annealer states' maxpro and correlation updates replace slower
 expressions of the same arithmetic and the same draws.  The reference
 forms are kept here, and every check is exact (``==``, not a tolerance):
@@ -12,9 +13,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lhdopt import CriterionSpec, _kernels
+from lhdopt import CriterionSpec, _kernels, random_lhd
 from lhdopt.criteria import _CorrState, _MaxproState
-from lhdopt.rng import permutation
+from lhdopt.rng import RngStream, permutation
 from lhdopt.search import match_swaps
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -181,26 +182,28 @@ N2K1 = np.array([[2], [1]], dtype=np.int64)
 @given(swap_cases())
 def test_match_swaps_equals_reference(case):
     column, target, count, seed = case
-    gen_new = np.random.default_rng(seed)
-    gen_ref = np.random.default_rng(seed)
-    got = match_swaps(column, target, count, gen_new)
+    draws = RngStream(seed).draws()
+    gen_ref = RngStream(seed).generator()
+    got = match_swaps(column, target, count, draws)
     want = ref_match_swaps(column, target, count, gen_ref)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    # the same draws were made: both generators are in the same state
-    assert gen_new.random() == gen_ref.random()
+    # the same draws were made: both sources are at the same place
+    assert draws.below(1000) == gen_ref.integers(1000)
+    assert draws.random() == gen_ref.random()
 
 
 @SETTINGS
 @given(st.integers(1, 80), st.integers(0, 2**32 - 1))
 def test_permutation_equals_reference(n, seed):
-    gen_new = np.random.default_rng(seed)
-    gen_ref = np.random.default_rng(seed)
-    got = permutation(gen_new, n)
+    draws = RngStream(seed).draws()
+    gen_ref = RngStream(seed).generator()
+    got = permutation(draws, n)
     want = ref_permutation(gen_ref, n)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert gen_new.random() == gen_ref.random()
+    assert draws.below(1000) == gen_ref.integers(1000)
+    assert draws.random() == gen_ref.random()
 
 
 @SETTINGS
@@ -217,6 +220,12 @@ def test_phi_kernels_equal_reference(X, p, q):
 @example(N2K1)
 @example(np.array([[1, 1], [1, 2]], dtype=np.int64))
 def test_maxpro_sum_equals_reference(X):
+    assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
+
+
+def test_maxpro_sum_in_blocks_equals_reference():
+    # 200 x 30 fills its 19900 pair products in three blocks
+    X = random_lhd(200, 30, RngStream(3))
     assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
 
 

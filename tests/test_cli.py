@@ -240,6 +240,21 @@ class TestSearch:
         assert run(["search", *args, "--budget", "100", "-o", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.strip() == f"lhdopt: {missing}"
 
+    def test_sa_multiobj_other_criterion_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["search", "-n", "6", "-k", "3", "--alg", "sa-multiobj", "--criterion",
+                    "maxpro", "--weight", "0.5", "--budget", "100", "-o", str(out)]) == 2
+        assert "sa-multiobj takes criterion phi_p or combo, got maxpro" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t0", ["nan", "inf"])
+    def test_non_finite_t0_exits_2(self, tmp_path, capsys, t0):
+        out = tmp_path / "x.csv"
+        assert run(["search", "-n", "6", "-k", "3", "--alg", "sa", "--t0", t0,
+                    "--budget", "100", "-o", str(out)]) == 2
+        assert "t0 must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_two_run_phi(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """The kernel module has one implementation per kernel name."""
 
+import tracemalloc
+
 import numpy as np
 
-from lhdopt import _kernels
+from lhdopt import RngStream, _kernels, maxpro_psi, random_lhd
 
 
 class TestFallbackPath:
@@ -26,3 +28,15 @@ class TestFallbackPath:
     def test_degenerate_flag(self):
         X = np.array([[1, 1], [1, 2]], dtype=np.int64)
         assert _kernels.maxpro_sum(X) == -1.0
+
+
+def test_maxpro_memory_is_bounded():
+    # the C(n,2) x k gaps of a 500 x 50 design would take 48 MiB at once
+    X = random_lhd(500, 50, RngStream(1))
+    tracemalloc.start()
+    try:
+        maxpro_psi(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

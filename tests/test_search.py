@@ -107,6 +107,12 @@ class TestCommonContract:
             OptimizerConfig(algorithm="lapso", max_evaluations=10, seed=RngStream(0),
                             swarm=1)
 
+    @pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_t0_must_be_positive_and_finite(self, t0):
+        # with T = NaN every uphill move would be rejected: a silent greedy descent
+        with pytest.raises(InvalidConfigError, match="t0 must be positive and finite"):
+            OptimizerConfig(algorithm="sa", max_evaluations=10, seed=RngStream(0), t0=t0)
+
 
 class TestSa:
     def test_two_run_value_is_one(self):
@@ -273,13 +279,14 @@ class TestLapso:
         assert r.value == pytest.approx(min(init_vals), rel=1e-12)
 
     def test_match_swaps_hamming_non_increasing(self, gen):
+        draws = RngStream(5).draws()
         for _ in range(200):
             n = int(gen.integers(2, 15))
             col = gen.permutation(n) + 1
             target = gen.permutation(n) + 1
             h0 = int(np.sum(col != target))
             count = int(gen.integers(0, 5))
-            out = match_swaps(col, target, count, gen)
+            out = match_swaps(col, target, count, draws)
             h1 = int(np.sum(out != target))
             assert h1 <= h0
             assert sorted(out.tolist()) == list(range(1, n + 1))
@@ -304,6 +311,14 @@ class TestRun:
     def test_missing_input_is_a_typed_error(self, alg, kw, missing):
         with pytest.raises(InvalidConfigError, match=f"{alg} needs {missing}$"):
             S.run(cfg(alg, budget=100), PHI, **kw)
+
+    @pytest.mark.parametrize("kind", ["maxpro", "avgcor", "maxcor"])
+    def test_sa_multiobj_takes_only_phi_p_or_combo(self, kind):
+        with pytest.raises(InvalidConfigError, match=f"phi_p or combo, got {kind}$"):
+            S.run(cfg("sa-multiobj", budget=100, weight=0.5), CriterionSpec(kind), 6, 3)
+        combo = S.run(cfg("sa-multiobj", budget=100, weight=0.5),
+                      CriterionSpec("combo", weight=0.5), 6, 3)
+        assert combo.value == S.run(cfg("sa-multiobj", budget=100, weight=0.5), PHI, 6, 3).value
 
     @pytest.mark.parametrize("n,k", [(8, None), (None, 3), (9, 3)])
     def test_oasa_size_must_match_the_array(self, n, k):
@@ -346,7 +361,8 @@ class TestBudgetAccounting:
             assert r.evaluations_used >= min(budget, 1)
 
     def test_two_distinct_rows(self, gen):
+        draws = RngStream(5).draws()
         for _ in range(500):
             n = int(gen.integers(2, 10))
-            i, j = two_distinct(gen, n)
+            i, j = two_distinct(draws, n)
             assert i != j and 0 <= i < n and 0 <= j < n
