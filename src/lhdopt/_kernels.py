@@ -6,14 +6,15 @@ gives the same bits on every install.  Callers go through the module
 attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
 ``IMPLEMENTATIONS``.
 
-The full-design kernels reduce the C(n,2) x k gaps ``X[a] - X[b]`` over the
-row pairs a < b of ``pair_indices(n)``, so no n x n x k tensor is built.  All
-kernels take the design as an int64 array of levels 1..n and treat a "swap"
-as exchanging rows ``i`` and ``j`` within column ``col``.  The O(n) delta
-kernels read the per-pair state that the annealer states of
+The full-design kernels gather the row-pair gaps column-major, in k x m
+blocks over the pairs a < b of ``pair_indices(n)``, and reduce each block
+over its k rows: into exact int64 distances for phi_p, whose float part then
+runs over all pairs at once, and into products in the order l = 0..k-1 for
+maxpro.  All kernels take an int64 design of n >= 2 rows of levels 1..n and
+treat a "swap" as exchanging rows ``i`` and ``j`` within column ``col``.  The
+O(n) delta kernels read the per-pair state that the annealer states of
 ``criteria.Evaluator`` keep between moves (``gap_power_sums`` for phi_p,
-``gap_products`` of the transposed design for maxpro) and the swapped
-column, all taken *before* the swap.
+``gap_products`` for maxpro) and the swapped column, taken *before* the swap.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
@@ -55,8 +56,8 @@ def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return d.prod(axis=0)
 
 
-# bytes of float64 gaps per block of row pairs in ``maxpro_sum``
-_PAIR_BLOCK_BYTES = 2**20
+# gap bytes per block: 1 MiB blocks ran twice as slow at 200x10 and 500x50
+_PAIR_BLOCK_BYTES = 2**19
 
 
 @functools.lru_cache(maxsize=32)
@@ -69,13 +70,21 @@ def pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _pair_distances(X: np.ndarray, q: int) -> np.ndarray:
-    """Distances d_ab over the row pairs a < b, in ``pair_indices`` order."""
-    a, b = pair_indices(X.shape[0])
-    diff = (X[a] - X[b]).astype(np.float64)
-    if q == 1:
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1))
+def _pair_gap_blocks(XT: np.ndarray):
+    """The gaps ``XT[:, a] - XT[:, b]`` of the transposed design ``XT`` over
+    the row pairs of ``pair_indices``, in order, in k x m blocks."""
+    a, b = pair_indices(XT.shape[1])
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * XT.shape[0]))
+    for lo in range(0, a.size, step):
+        yield XT.take(a[lo:lo + step], axis=1) - XT.take(b[lo:lo + step], axis=1)
+
+
+def pair_distances(X: np.ndarray, q: int) -> np.ndarray:
+    """float64 pair distances, in ``pair_indices`` order, from exact int64 sums."""
+    sums = [(np.abs(g, out=g) if q == 1 else np.square(g, out=g)).sum(axis=0)
+            for g in _pair_gap_blocks(X.T)]
+    d = np.concatenate(sums, dtype=np.float64)
+    return d if q == 1 else np.sqrt(d, out=d)
 
 
 def dist_matrix(X: np.ndarray, q: int) -> np.ndarray:
@@ -86,13 +95,13 @@ def dist_matrix(X: np.ndarray, q: int) -> np.ndarray:
 
 def phi_sum(X: np.ndarray, p: float, q: int) -> float:
     """Sum over row pairs of d_ij^(-p)."""
-    return float((_pair_distances(X, q) ** (-p)).sum())
+    return float((pair_distances(X, q) ** (-p)).sum())
 
 
 def phi_stable(X: np.ndarray, p: float, q: int) -> float:
     """phi_p with the smallest distance factored out so large p cannot underflow;
     ``inf`` when two rows are equal."""
-    d = _pair_distances(X, q)
+    d = pair_distances(X, q)
     dmin = d.min()
     if dmin == 0.0:
         return math.inf
@@ -148,17 +157,12 @@ def maxpro_sum(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero,
     ``inf`` if a pair product overflows float64.
 
-    The pair products are filled in blocks of about 1 MiB of gaps, each
-    multiplied in the order l = 0..k-1, and summed once over all pairs, so
-    the result does not depend on the block size.
+    Each pair multiplies its factors in the order l = 0..k-1, and the
+    reciprocals are summed once over all pairs, whatever the block size.
     """
-    a, b = pair_indices(X.shape[0])
-    prods = np.empty(a.size)
-    step = max(1, _PAIR_BLOCK_BYTES // (8 * X.shape[1]))
-    for lo in range(0, a.size, step):
-        diff = (X[a[lo:lo + step]] - X[b[lo:lo + step]]).astype(np.float64)
-        prods[lo:lo + step] = (diff * diff).prod(axis=1)
-    return reciprocal_sum(prods)
+    prods = [np.multiply.reduce(np.square(g, out=g), axis=0)
+             for g in _pair_gap_blocks(X.T.astype(np.float64))]
+    return reciprocal_sum(np.concatenate(prods))
 
 
 def reciprocal_sum(pairs: np.ndarray) -> float:

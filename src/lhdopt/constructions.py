@@ -173,7 +173,9 @@ def _character_columns(c: int, flip_sets: list[int]) -> np.ndarray:
     cols = []
     for F in flip_sets:
         lf = F ^ (F >> 1)
-        bits = np.bitwise_count(np.bitwise_and(r, lf)).astype(np.int64)
+        bits = r & lf
+        for shift in (32, 16, 8, 4, 2, 1):  # XOR-fold the parity into bit 0
+            bits ^= bits >> shift
         sign = 1 - 2 * (bits & 1)
         cols.append(sign * ((r ^ F) + 1))
     return np.column_stack(cols)

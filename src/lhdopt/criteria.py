@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCoordinateError,
     IndexOutOfRangeError,
     InvalidConfigError,
+    InvalidDesignError,
     InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
@@ -117,9 +118,7 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
         raise InvalidConfigError(f"p must be a positive integer, got {p!r}")
     if isinstance(q, bool) or q not in (1, 2):
         raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
-    X = np.ascontiguousarray(design, dtype=np.int64)
-    _check_runs(X.shape[0])
-    return float(_kernels.phi_stable(X, float(p), q))
+    return float(_kernels.phi_stable(_as_levels(design), float(p), q))
 
 
 def maxpro_psi(design: np.ndarray) -> float:
@@ -128,16 +127,37 @@ def maxpro_psi(design: np.ndarray) -> float:
 
     psi = ((1/C(n,2)) * sum over pairs of prod_l (x_il - x_jl)^-2)^(1/k).
     """
-    X = np.ascontiguousarray(design, dtype=np.int64)
+    X = _as_levels(design)
     n, k = X.shape
-    _check_runs(n)
     npairs = n * (n - 1) // 2
     return float((_maxpro_total(_kernels.maxpro_sum(X), n, k) / npairs) ** (1.0 / k))
 
 
-def _check_runs(n: int) -> None:
-    if n < 2:
+def _as_levels(design: np.ndarray) -> np.ndarray:
+    """The design as a C-contiguous n x k int64 array, n >= 2.
+
+    A design of an integer dtype is taken as it is, so the optimizers' int64
+    designs pay no check.  Any other design must hold finite integral
+    values, which cast exactly; a cast would truncate 1.5 to 1 and turn a
+    ``NaN`` into an arbitrary level.
+    """
+    A = np.asarray(design)
+    if A.ndim != 2:
+        raise InvalidDimensionError(f"a design must be 2-D, got {A.ndim}-D")
+    if A.shape[0] < 2:
         raise InvalidDimensionError("need at least 2 runs")
+    if A.dtype.kind in "iu":
+        return np.ascontiguousarray(A, dtype=np.int64)
+    if A.dtype.kind not in "bfO":
+        raise InvalidDesignError(f"design levels must be integers, got dtype {A.dtype}")
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer
+            X = np.ascontiguousarray(A, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # None, NaN or a huge int as objects
+        X = None
+    if X is None or not (X == A).all():
+        raise InvalidDesignError("design levels must be finite integers within int64")
+    return X
 
 
 def _maxpro_total(s: float, n: int, k: int) -> float:
@@ -154,10 +174,8 @@ def _maxpro_total(s: float, n: int, k: int) -> float:
     return s
 
 
-def _doubled_centered(design: np.ndarray) -> np.ndarray:
-    X = np.asarray(design, dtype=np.int64)
-    n = X.shape[0]
-    return 2 * X - (n + 1)
+def _doubled_centered(X: np.ndarray) -> np.ndarray:
+    return 2 * X - (X.shape[0] + 1)
 
 
 def _level_ss(n: int) -> float:
@@ -167,8 +185,7 @@ def _level_ss(n: int) -> float:
 
 def column_correlations(design: np.ndarray) -> np.ndarray:
     """k x k matrix of Pearson correlations between columns (diagonal 1)."""
-    X = np.asarray(design)
-    _check_runs(X.shape[0])
+    X = _as_levels(design)
     Z = _doubled_centered(X)
     C = (Z.T @ Z).astype(np.float64) / _level_ss(X.shape[0])
     np.fill_diagonal(C, 1.0)
@@ -192,11 +209,10 @@ def _pair_gram(Z: np.ndarray) -> np.ndarray:
 
 
 def _correlation(design: np.ndarray, stat: str) -> float:
-    X = np.asarray(design, dtype=np.int64)
+    X = _as_levels(design)
     n, k = X.shape
     if k < 2:
         raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
-    _check_runs(n)
     return _COR_STATS[stat](_pair_gram(_doubled_centered(X)), _level_ss(n), k * (k - 1) // 2)
 
 
@@ -212,7 +228,8 @@ def max_abs_cor(design: np.ndarray) -> float:
 
 def avg_sq_cor(design: np.ndarray) -> float:
     """Mean squared Pearson correlation over column pairs (0.0 when k < 2)."""
-    return _correlation(design, "avgsqcor") if design.shape[1] >= 2 else 0.0
+    X = _as_levels(design)
+    return _correlation(X, "avgsqcor") if X.shape[1] >= 2 else 0.0
 
 
 def phi_p_lower_proxy(n: int, k: int, p: int, q: int) -> float:
@@ -257,11 +274,12 @@ def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
     """
     if spec.kind != "combo":
         raise InvalidConfigError(f"weighted_objective needs kind='combo', got {spec.kind!r}")
-    n, k = design.shape
+    X = _as_levels(design)
+    n, k = X.shape
     w = float(spec.weight)
-    phi = phi_p(design, spec.p, spec.q)
+    phi = phi_p(X, spec.p, spec.q)
     lower, span = _phi_scale(n, k, spec, phi)
-    return w * avg_sq_cor(design) + (1.0 - w) * _normalized(phi, lower, span)
+    return w * avg_sq_cor(X) + (1.0 - w) * _normalized(phi, lower, span)
 
 
 def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -496,9 +514,8 @@ class Evaluator:
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.X = np.array(design, dtype=np.int64, order="C")
+        self.X = _as_levels(design).copy()
         self.n, self.k = self.X.shape
-        _check_runs(self.n)
         self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
         self.spec = getattr(self.state, "spec", spec)
         self._cache_key = None

@@ -10,6 +10,7 @@ seeded runs must not move by a single bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -207,7 +208,7 @@ def test_permutation_equals_reference(n, seed):
 
 
 @SETTINGS
-@given(designs(), st.sampled_from((1.0, 15.0, 50.0, 200.0)), st.sampled_from((1, 2)))
+@given(designs(), st.sampled_from((1.0, 2.0, 15.0, 50.0, 200.0, 400.0)), st.sampled_from((1, 2)))
 @example(N2K1, 15.0, 1)
 @example(N2K1, 200.0, 2)
 def test_phi_kernels_equal_reference(X, p, q):
@@ -224,9 +225,18 @@ def test_maxpro_sum_equals_reference(X):
 
 
 def test_maxpro_sum_in_blocks_equals_reference():
-    # 200 x 30 fills its 19900 pair products in three blocks
+    # 200 x 30 fills its 19900 pair products in ten blocks of 2184 pairs
+    for seed in (1, 3):
+        X = random_lhd(200, 30, RngStream(seed))
+        assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 2.0, 15.0, 50.0, 200.0, 400.0])
+def test_phi_stable_in_blocks_equals_reference(p, q):
+    # ten blocks of 200 x 30 distances, then one sum over all 19900 pairs
     X = random_lhd(200, 30, RngStream(3))
-    assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
+    assert _kernels.phi_stable(X, p, q) == ref_phi_stable(X, p, q)
 
 
 def test_pair_indices_cached_and_read_only():

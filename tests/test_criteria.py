@@ -21,6 +21,7 @@ from lhdopt.criteria import KINDS, Evaluator, avg_sq_cor, evaluate, phi_p_lower_
 from lhdopt.errors import (
     DegenerateCoordinateError,
     InvalidConfigError,
+    InvalidDesignError,
     InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
@@ -110,6 +111,47 @@ class TestOneRun:
             evaluate(X, spec)
         with pytest.raises(InvalidDimensionError, match="at least 2 runs"):
             Evaluator(X, spec)
+
+
+class TestDesignInput:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf, 1e300])
+    def test_non_integer_level_is_a_typed_error(self, kind, bad):
+        # a cast to int64 would truncate or wrap these silently
+        spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
+        X = np.array([[1.0, 2], [2, 1], [3, 3]])
+        X[2, 0] = bad
+        with pytest.raises(InvalidDesignError):
+            evaluate(X, spec)
+        with pytest.raises(InvalidDesignError):
+            Evaluator(X, spec)
+
+    def test_truncating_float_designs_rejected(self):
+        X = [[1.5, 2], [2.5, 1], [3.9, 3]]
+        with pytest.raises(InvalidDesignError):
+            phi_p(X)
+        with pytest.raises(InvalidDesignError):
+            maxpro_psi(X)
+        for X in ([["1", "2"], ["2", "1"]], [[1, None], [2, 1]], [[1, 2j], [2, 1]],
+                  [[1, 2**70], [2, 1]]):
+            with pytest.raises(InvalidDesignError):
+                phi_p(np.array(X))
+        with pytest.raises(InvalidDesignError):
+            phi_p(np.array([[1, np.nan], [2, 1]], dtype=object))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_integral_float_design_equals_integer_design(self, kind):
+        spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
+        X = np.array([[1, 2], [2, 1], [3, 3]])
+        assert evaluate(X.astype(np.float64), spec) == evaluate(X, spec)
+        assert evaluate(X.tolist(), spec) == evaluate(X, spec)
+        assert evaluate(X.astype(object), spec) == evaluate(X, spec)
+        assert avg_sq_cor(X.tolist()) == avg_sq_cor(X)
+
+    @pytest.mark.parametrize("fn", [avg_abs_cor, max_abs_cor, avg_sq_cor, phi_p, maxpro_psi])
+    def test_one_dimensional_design_is_a_typed_error(self, fn):
+        with pytest.raises(InvalidDimensionError, match="2-D"):
+            fn(np.array([1, 2, 3]))
 
 
 class TestMaxpro:

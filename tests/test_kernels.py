@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from lhdopt import RngStream, _kernels, maxpro_psi, random_lhd
+from lhdopt import RngStream, _kernels, maxpro_psi, phi_p, random_lhd
 
 
 class TestFallbackPath:
@@ -30,13 +30,22 @@ class TestFallbackPath:
         assert _kernels.maxpro_sum(X) == -1.0
 
 
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_maxpro_memory_is_bounded():
     # the C(n,2) x k gaps of a 500 x 50 design would take 48 MiB at once
     X = random_lhd(500, 50, RngStream(1))
-    tracemalloc.start()
-    try:
-        maxpro_psi(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _peak_bytes(maxpro_psi, X) < 16 * 2**20
+
+
+def test_phi_p_memory_is_bounded():
+    X = random_lhd(500, 50, RngStream(1))
+    for q in (1, 2):
+        assert _peak_bytes(phi_p, X, 15, q) < 16 * 2**20
