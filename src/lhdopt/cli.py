@@ -22,8 +22,6 @@ from .design import random_lhd, validate
 from .errors import InvalidDesignError, LhdError
 from .rng import RngStream
 
-CONSTRUCTIONS = ("ye1998", "cioppa2007", "sun2010", "butler2001", "lin2009", "oalhd")
-
 ORTHOGONAL_TOL = 1e-12  # a design is reported orthogonal below this
 
 
@@ -55,55 +53,39 @@ def _add_seed_args(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 
+# generator -> (the options it needs, the options its sidecar records, the
+# builder of its design from the parsed arguments); a builder looks its
+# function up when it is called, so a wrapper installed on a module
+# attribute such as ``lhdopt.constructions.olhd_ye1998`` sees the call
+GENERATORS = {
+    "random": (("n", "k"), ("n", "k"),
+               lambda a: random_lhd(a.n, a.k, RngStream(a.seed, a.stream))),
+    "ye1998": (("m",), ("m",), lambda a: cons.olhd_ye1998(a.m)),
+    "cioppa2007": (("m",), ("m",), lambda a: cons.olhd_cioppa2007(a.m)),
+    "sun2010": (("c", "r"), ("c", "r", "plus_one"),
+                lambda a: cons.olhd_sun2010(a.c, a.r, a.plus_one)),
+    "butler2001": (("n", "k"), ("n", "k"), lambda a: cons.olhd_butler2001(a.n, a.k)),
+    "lin2009": (("oa", "base_csv"), ("oa", "base_csv"),
+                lambda a: cons.olhd_lin2009(lio.read_design(a.base_csv), lio.load_oa(a.oa))),
+    "oalhd": (("oa",), ("oa", "fill"),
+              lambda a: cons.oa_to_lhd(lio.load_oa(a.oa), None if a.fill == "deterministic"
+                                       else RngStream(a.seed, a.stream))),
+}
+
+
 def _cmd_generate(args) -> int:
     if args.random == (args.construction is not None):
         raise LhdError("choose exactly one of --random or --construction")
-    params: dict = {}
-    if args.random:
-        if args.n is None or args.k is None:
-            raise LhdError("--random needs -n and -k")
-        X = random_lhd(args.n, args.k, RngStream(args.seed, args.stream))
-        generator = "random"
-        params = {"n": args.n, "k": args.k}
-    else:
-        name = args.construction
-        if name == "ye1998" or name == "cioppa2007":
-            if args.m is None:
-                raise LhdError(f"{name} needs --m")
-            fn = cons.olhd_ye1998 if name == "ye1998" else cons.olhd_cioppa2007
-            X = fn(args.m)
-            params = {"m": args.m}
-        elif name == "sun2010":
-            if args.c is None or args.r is None:
-                raise LhdError("sun2010 needs --c and --r")
-            X = cons.olhd_sun2010(args.c, args.r, args.plus_one)
-            params = {"c": args.c, "r": args.r, "plus_one": args.plus_one}
-        elif name == "butler2001":
-            if args.n is None or args.k is None:
-                raise LhdError("butler2001 needs --n and --k")
-            X = cons.olhd_butler2001(args.n, args.k)
-            params = {"n": args.n, "k": args.k}
-        elif name == "oalhd":
-            if args.oa is None:
-                raise LhdError("oalhd needs --oa (a catalog name)")
-            oa = S.load_oa(args.oa)
-            rng = None if args.fill == "deterministic" else RngStream(args.seed, args.stream)
-            X = cons.oa_to_lhd(oa, rng)
-            params = {"oa": args.oa, "fill": args.fill}
-        elif name == "lin2009":
-            if args.oa is None or args.base_csv is None:
-                raise LhdError("lin2009 needs --oa and --base-csv")
-            base = lio.read_design(args.base_csv)
-            X = cons.olhd_lin2009(base, S.load_oa(args.oa))
-            params = {"oa": args.oa, "base_csv": str(args.base_csv)}
-        else:  # argparse choices make this unreachable
-            raise LhdError(f"unknown construction {name!r}")
-        generator = name
-
+    generator = args.construction or "random"
+    needs, records, build = GENERATORS[generator]
+    missing = ["--" + name.replace("_", "-") for name in needs if getattr(args, name) is None]
+    if missing:
+        raise LhdError(f"{generator} needs {' and '.join(missing)}")
+    X = build(args)
     out = lio.write_design(args.output, X)
     meta = {
         "generator": generator,
-        "parameters": params,
+        "parameters": {name: getattr(args, name) for name in records},
         "n": int(X.shape[0]),
         "k": int(X.shape[1]),
         "seed": args.seed,
@@ -216,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a random or constructed design")
     g.add_argument("--random", action="store_true", help="random LHD (needs -n, -k, --seed)")
-    g.add_argument("--construction", choices=CONSTRUCTIONS)
+    g.add_argument("--construction", choices=[name for name in GENERATORS if name != "random"])
     g.add_argument("-n", "--n", type=int, dest="n")
     g.add_argument("-k", "--k", type=int, dest="k")
     g.add_argument("--m", type=int, help="ye1998/cioppa2007 parameter")

@@ -42,13 +42,23 @@ from .rng import Draws, RngStream, as_draws, permutation
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength 2."""
+    """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength 2.
+    Construction validates it (:func:`validate_oa`, and N x K cells), and
+    keeps the cells as a read-only int64 copy."""
 
     N: int
     K: int
     s: int
     strength: int
     cells: np.ndarray
+
+    def __post_init__(self):
+        cells = np.array(self.cells, dtype=np.int64)
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        validate_oa(cells, self.s, self.strength)
+        if cells.shape != (self.N, self.K):
+            raise InvalidOAError(f"cells are {cells.shape}, not (N, K) = ({self.N}, {self.K})")
 
     @property
     def reps(self) -> int:
@@ -80,11 +90,23 @@ def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> None:
 
 
 def make_oa(cells: np.ndarray, s: int, strength: int = 2) -> OrthogonalArray:
-    """Build and verify an OrthogonalArray from raw cells with symbols 1..s."""
-    A = np.array(cells, dtype=np.int64)
-    validate_oa(A, s, strength)
-    A.setflags(write=False)
-    return OrthogonalArray(N=A.shape[0], K=A.shape[1], s=s, strength=strength, cells=A)
+    """An OrthogonalArray of the raw cells, symbols 1..s; N and K are their shape."""
+    shape = np.shape(cells)  # validation rejects one that is not 2-D
+    return OrthogonalArray(*(shape if len(shape) == 2 else (0, 0)), s, strength, cells)
+
+
+def parse_oa(text: str, sidecar) -> OrthogonalArray:
+    """An OA from its CSV text (no header, one run per line, symbols 1..s)
+    and its sidecar, a JSON object that declares the integers N, K, s and t."""
+    declared = [sidecar.get(key) if isinstance(sidecar, dict) else None for key in "NKst"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in declared):
+        raise InvalidOAError(f"an OA sidecar must declare integers N, K, s and t, got {sidecar!r}")
+    try:
+        cells = np.array([[int(v) for v in line.split(",")]
+                          for line in text.strip().splitlines() if line.strip()], dtype=np.int64)
+    except ValueError as e:
+        raise InvalidOAError(f"OA cells are not an integer CSV matrix: {e}") from e
+    return OrthogonalArray(*declared, cells)
 
 
 def _load_catalog_index() -> dict:
@@ -101,8 +123,8 @@ def good_oa_catalog(name: str) -> OrthogonalArray:
     """Load a bundled OA by name, e.g. "OA(9,4,3,2)".
 
     The file's SHA-256 is checked against the shipped manifest and the
-    strength-2 balance invariant is re-verified at load time, so a corrupt
-    data file can never flow into downstream constructions.
+    array is validated as it is built, so a corrupt data file can never
+    flow into downstream constructions.
     """
     index = _load_catalog_index()
     if name not in index:
@@ -110,17 +132,9 @@ def good_oa_catalog(name: str) -> OrthogonalArray:
     entry = index[name]
     data = resources.files("lhdopt.data")
     raw = data.joinpath(entry["file"]).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != entry["sha256"]:
+    if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
         raise InvalidOAError(f"checksum mismatch for {entry['file']}")
-    meta = json.loads(data.joinpath(entry["sidecar"]).read_text())
-    cells = np.array(
-        [[int(v) for v in line.split(",")] for line in raw.decode().strip().splitlines()],
-        dtype=np.int64,
-    )
-    if cells.shape != (meta["N"], meta["K"]):
-        raise InvalidOAError(f"{entry['file']}: shape disagrees with sidecar")
-    return make_oa(cells, s=meta["s"], strength=meta["t"])
+    return parse_oa(raw.decode(), json.loads(data.joinpath(entry["sidecar"]).read_text()))
 
 
 def oa_to_lhd(oa: OrthogonalArray,
@@ -134,7 +148,6 @@ def oa_to_lhd(oa: OrthogonalArray,
     (columns left to right, symbols ascending).  Collapsing the result via
     ceil(x*s/N) recovers the source array exactly.
     """
-    validate_oa(oa.cells, oa.s, oa.strength)
     N, K, s = oa.N, oa.K, oa.s
     reps = N // s
     X = np.empty((N, K), dtype=np.int64)
@@ -205,6 +218,17 @@ def _centered_to_levels(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_flip_olhd(m: int, pairs) -> np.ndarray:
+    """The n = 2^m + 1 run design of the identity, the m-1 single-bit flips
+    and the flips of the bit pairs (i, j) in ``pairs(m - 1)``, mirrored
+    around a center row."""
+    if m < 2:
+        raise InvalidParameterError(f"m must be at least 2, got {m}")
+    c = m - 1
+    flips = [0] + [1 << i for i in range(c)] + [(1 << i) | (1 << j) for i, j in pairs(c)]
+    return _centered_to_levels(_mirror(_character_columns(c, flips), center_row=True))
+
+
 def olhd_ye1998(m: int) -> np.ndarray:
     """Orthogonal LHD with n = 2^m + 1 runs and k = 2m - 2 factors (m >= 2).
 
@@ -212,13 +236,7 @@ def olhd_ye1998(m: int) -> np.ndarray:
     pair flips that involve the top bit.  The design is mirror-symmetric with
     a center row at level (n+1)/2 and has exactly zero column correlations.
     """
-    if m < 2:
-        raise InvalidParameterError(f"m must be at least 2, got {m}")
-    c = m - 1
-    flips = [0] + [1 << i for i in range(c)]
-    flips += [(1 << i) | (1 << (c - 1)) for i in range(c - 1)]
-    top = _character_columns(c, flips)
-    return _centered_to_levels(_mirror(top, center_row=True))
+    return _pair_flip_olhd(m, lambda c: [(i, c - 1) for i in range(c - 1)])
 
 
 def olhd_cioppa2007(m: int) -> np.ndarray:
@@ -227,13 +245,7 @@ def olhd_cioppa2007(m: int) -> np.ndarray:
     Same engine as :func:`olhd_ye1998` but with every pair flip included,
     which accommodates more factors at the same run count.
     """
-    if m < 2:
-        raise InvalidParameterError(f"m must be at least 2, got {m}")
-    c = m - 1
-    flips = [0] + [1 << i for i in range(c)]
-    flips += [(1 << i) | (1 << j) for i, j in combinations(range(c), 2)]
-    top = _character_columns(c, flips)
-    return _centered_to_levels(_mirror(top, center_row=True))
+    return _pair_flip_olhd(m, lambda c: combinations(range(c), 2))
 
 
 def olhd_sun2010(c: int, r: int, plus_one: bool = False) -> np.ndarray:
@@ -339,11 +351,9 @@ def olhd_lin2009(olhd: np.ndarray, oa: OrthogonalArray) -> np.ndarray:
     so an orthogonal input gives an exactly orthogonal output.
     """
     base = np.asarray(olhd, dtype=np.int64)
-    if base.ndim != 2:
-        raise DimensionMismatchError("base design must be 2-D")
-    n, p = base.shape
     if not validate(base).ok:
         raise DimensionMismatchError("base design must be a valid LHD")
+    n, p = base.shape
     if oa.N != n * n:
         raise DimensionMismatchError(f"OA needs n^2 = {n * n} runs, has {oa.N}")
     if oa.s != n:
@@ -352,20 +362,12 @@ def olhd_lin2009(olhd: np.ndarray, oa: OrthogonalArray) -> np.ndarray:
         raise DimensionMismatchError(f"OA needs an even column count, has {oa.K}")
     # doubled-centered base levels keep everything in exact integers
     Z = 2 * base - (n + 1)
-    u_cols = oa.cells[:, 0::2] - 1
-    v_cols = oa.cells[:, 1::2] - 1
     out = []
-    for t in range(oa.K // 2):
-        u = u_cols[:, t]
-        v = v_cols[:, t]
+    for t in range(0, oa.K, 2):  # Zu[r, a] = a(u_r) of the pair (u, v) of columns t, t+1
+        Zu, Zv = Z[oa.cells[:, t] - 1], Z[oa.cells[:, t + 1] - 1]
         for a in range(p):
-            za_u = Z[u, a]
-            za_v = Z[v, a]
-            out.append(za_u + n * za_v)
-            out.append(n * za_u - za_v)
+            out += [Zu[:, a] + n * Zv[:, a], n * Zu[:, a] - Zv[:, a]]
     D2 = np.column_stack(out)  # doubled-centered levels of the n^2-run design
     X = (D2 + n * n + 1) // 2
-    if not validate(X).ok:
-        raise DimensionMismatchError("coupling produced an invalid design")
     X.setflags(write=False)
     return X

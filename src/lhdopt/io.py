@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constructions import OrthogonalArray, make_oa
+from .constructions import OrthogonalArray, good_oa_catalog, parse_oa
 from .errors import LhdError
 
 
@@ -28,12 +28,16 @@ def write_design(path: str | Path, design: np.ndarray) -> Path:
     return path
 
 
-def read_design(path: str | Path) -> np.ndarray:
-    path = Path(path)
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except OSError as e:
         raise LhdError(f"cannot read {path}: {e}") from e
+
+
+def read_design(path: str | Path) -> np.ndarray:
+    path = Path(path)
+    text = _read_text(path)
     try:
         rows = [
             [int(v) for v in line.split(",")]
@@ -71,12 +75,14 @@ def write_trace(path: str | Path, trace: list[tuple[int, float]]) -> Path:
 
 def read_oa(path: str | Path) -> OrthogonalArray:
     """Load an OA from CSV plus its JSON sidecar declaring (N, K, s, t)."""
-    cells = read_design(path)
-    meta = read_json(sidecar_path(path))
-    oa = make_oa(cells, s=int(meta["s"]), strength=int(meta.get("t", 2)))
-    if (oa.N, oa.K) != (int(meta["N"]), int(meta["K"])):
-        raise LhdError(f"{path}: sidecar (N, K) disagrees with the CSV")
-    return oa
+    return parse_oa(_read_text(Path(path)), read_json(sidecar_path(path)))
+
+
+def load_oa(name_or_path: str) -> OrthogonalArray:
+    """An OA from a bundled catalog name, or from a CSV path with its JSON sidecar."""
+    if Path(name_or_path).exists():
+        return read_oa(name_or_path)
+    return good_oa_catalog(name_or_path)
 
 
 def write_oa(path: str | Path, oa: OrthogonalArray) -> Path:

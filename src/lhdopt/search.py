@@ -21,17 +21,16 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import criteria as crit
-from .constructions import OrthogonalArray, good_oa_catalog, oa_to_lhd, validate_oa
+from .constructions import OrthogonalArray, oa_to_lhd
 from .criteria import CriterionSpec, Evaluator
 from .design import SliceStructure, make_slices, random_lhd
 from .errors import InvalidConfigError
-from .io import read_oa
+from .io import load_oa
 from .rng import Draws, RngStream, permutation, two_distinct
 
 # algorithm -> the inputs of ``run`` it needs besides the criterion, budget
@@ -281,7 +280,6 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     visited design still collapses back to the array.
     """
     started = time.perf_counter()
-    validate_oa(oa.cells, oa.s, oa.strength)
     draws = config.seed.draws()
     budget = _Budget(config.max_evaluations)
     ev = _init_sa(oa_to_lhd(oa), spec, budget, inspect)
@@ -567,13 +565,6 @@ def _pin_combo(spec: CriterionSpec, n: int, k: int, gen_seed: RngStream) -> Crit
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
-
-
-def load_oa(name_or_path: str) -> OrthogonalArray:
-    """An OA from a bundled catalog name, or from a CSV path with its JSON sidecar."""
-    if Path(name_or_path).exists():
-        return read_oa(name_or_path)
-    return good_oa_catalog(name_or_path)
 
 
 def missing_inputs(algorithm: str, **given) -> list[str]:
