@@ -71,7 +71,7 @@ class BenchmarkSpec:
         for a in spec.algorithms:
             if a not in S.ALGORITHMS:
                 raise InvalidConfigError(f"unknown algorithm {a!r}")
-            S.check_criterion(a, spec.criterion.kind)
+            S.check_criterion(a, spec.criterion, spec.weight)
             missing = S.missing_inputs(a, weight=spec.weight, slices=spec.slices_t, oa=spec.oa_name)
             if missing:
                 fields = " and ".join(repr(_FIELDS.get(m, m)) for m in missing)

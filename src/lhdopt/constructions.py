@@ -350,9 +350,9 @@ def olhd_lin2009(olhd: np.ndarray, oa: OrthogonalArray) -> np.ndarray:
     every cross inner product a multiple of the base design's centered Gram,
     so an orthogonal input gives an exactly orthogonal output.
     """
-    base = np.asarray(olhd, dtype=np.int64)
-    if not validate(base).ok:
+    if not validate(olhd).ok:  # before the cast, which would truncate a level 1.5 to 1
         raise DimensionMismatchError("base design must be a valid LHD")
+    base = np.asarray(olhd, dtype=np.int64)
     n, p = base.shape
     if oa.N != n * n:
         raise DimensionMismatchError(f"OA needs n^2 = {n * n} runs, has {oa.N}")

@@ -9,7 +9,9 @@ must agree with full evaluation to 1e-10 relative (property-tested).
 Correlation arithmetic is exact: columns of an LHD share mean (n+1)/2 and
 variance, so Pearson numerators are computed on the doubled-centered integer
 levels z = 2x - (n+1) and a correlation is reported as exactly 0.0 whenever
-the integer Gram entry is zero.
+the integer Gram entry is zero.  A design with a column that is not a
+permutation of 1..n has other means and variances, so the correlation
+criteria raise ``InvalidDesignError`` for it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from .design import as_design, exchange
 from .errors import (
     DegenerateCoordinateError,
     IndexOutOfRangeError,
@@ -118,7 +121,7 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
         raise InvalidConfigError(f"p must be a positive integer, got {p!r}")
     if isinstance(q, bool) or q not in (1, 2):
         raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
-    return float(_kernels.phi_stable(_as_levels(design), float(p), q))
+    return float(_kernels.phi_stable(as_design(design), float(p), q))
 
 
 def maxpro_psi(design: np.ndarray) -> float:
@@ -127,37 +130,10 @@ def maxpro_psi(design: np.ndarray) -> float:
 
     psi = ((1/C(n,2)) * sum over pairs of prod_l (x_il - x_jl)^-2)^(1/k).
     """
-    X = _as_levels(design)
+    X = as_design(design)
     n, k = X.shape
     npairs = n * (n - 1) // 2
     return float((_maxpro_total(_kernels.maxpro_sum(X), n, k) / npairs) ** (1.0 / k))
-
-
-def _as_levels(design: np.ndarray) -> np.ndarray:
-    """The design as a C-contiguous n x k int64 array, n >= 2.
-
-    A design of an integer dtype is taken as it is, so the optimizers' int64
-    designs pay no check.  Any other design must hold finite integral
-    values, which cast exactly; a cast would truncate 1.5 to 1 and turn a
-    ``NaN`` into an arbitrary level.
-    """
-    A = np.asarray(design)
-    if A.ndim != 2:
-        raise InvalidDimensionError(f"a design must be 2-D, got {A.ndim}-D")
-    if A.shape[0] < 2:
-        raise InvalidDimensionError("need at least 2 runs")
-    if A.dtype.kind in "iu":
-        return np.ascontiguousarray(A, dtype=np.int64)
-    if A.dtype.kind not in "bfO":
-        raise InvalidDesignError(f"design levels must be integers, got dtype {A.dtype}")
-    try:
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer
-            X = np.ascontiguousarray(A, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):  # None, NaN or a huge int as objects
-        X = None
-    if X is None or not (X == A).all():
-        raise InvalidDesignError("design levels must be finite integers within int64")
-    return X
 
 
 def _maxpro_total(s: float, n: int, k: int) -> float:
@@ -175,7 +151,12 @@ def _maxpro_total(s: float, n: int, k: int) -> float:
 
 
 def _doubled_centered(X: np.ndarray) -> np.ndarray:
-    return 2 * X - (X.shape[0] + 1)
+    """The levels z = 2x - (n+1) of the correlation arithmetic, which needs
+    every column of X to be a permutation of 1..n; any other levels raise."""
+    n = X.shape[0]
+    if not (np.sort(X, axis=0) == np.arange(1, n + 1)[:, None]).all():
+        raise InvalidDesignError(f"correlations need every column to be a permutation of 1..{n}")
+    return 2 * X - (n + 1)
 
 
 def _level_ss(n: int) -> float:
@@ -185,7 +166,7 @@ def _level_ss(n: int) -> float:
 
 def column_correlations(design: np.ndarray) -> np.ndarray:
     """k x k matrix of Pearson correlations between columns (diagonal 1)."""
-    X = _as_levels(design)
+    X = as_design(design)
     Z = _doubled_centered(X)
     C = (Z.T @ Z).astype(np.float64) / _level_ss(X.shape[0])
     np.fill_diagonal(C, 1.0)
@@ -209,7 +190,7 @@ def _pair_gram(Z: np.ndarray) -> np.ndarray:
 
 
 def _correlation(design: np.ndarray, stat: str) -> float:
-    X = _as_levels(design)
+    X = as_design(design)
     n, k = X.shape
     if k < 2:
         raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
@@ -228,7 +209,7 @@ def max_abs_cor(design: np.ndarray) -> float:
 
 def avg_sq_cor(design: np.ndarray) -> float:
     """Mean squared Pearson correlation over column pairs (0.0 when k < 2)."""
-    X = _as_levels(design)
+    X = as_design(design)
     return _correlation(X, "avgsqcor") if X.shape[1] >= 2 else 0.0
 
 
@@ -259,6 +240,14 @@ def _phi_scale(n: int, k: int, spec: CriterionSpec, phi: float) -> tuple[float, 
     return lower, upper - lower
 
 
+def pin_upper(spec: CriterionSpec, design: np.ndarray) -> CriterionSpec:
+    """``spec`` with a combo's unset upper proxy U set to ``design``'s
+    phi_p; any other spec as it is."""
+    if spec.kind != "combo" or spec.norm_upper is not None:
+        return spec
+    return replace(spec, norm_upper=phi_p(design, spec.p, spec.q))
+
+
 def _normalized(phi: float, lower: float, span: float) -> float:
     return (phi - lower) / span if span else 0.0
 
@@ -274,12 +263,13 @@ def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
     """
     if spec.kind != "combo":
         raise InvalidConfigError(f"weighted_objective needs kind='combo', got {spec.kind!r}")
-    X = _as_levels(design)
+    X = as_design(design)
     n, k = X.shape
-    w = float(spec.weight)
+    cor = avg_sq_cor(X)  # so a design that is no LHD raises before U is checked
     phi = phi_p(X, spec.p, spec.q)
     lower, span = _phi_scale(n, k, spec, phi)
-    return w * avg_sq_cor(X) + (1.0 - w) * _normalized(phi, lower, span)
+    w = float(spec.weight)
+    return w * cor + (1.0 - w) * _normalized(phi, lower, span)
 
 
 def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -514,7 +504,7 @@ class Evaluator:
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.X = _as_levels(design).copy()
+        self.X = as_design(design).copy()
         self.n, self.k = self.X.shape
         self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
         self.spec = getattr(self.state, "spec", spec)
@@ -546,6 +536,9 @@ def delta_after_exchange(
 ) -> float:
     """Criterion value of ``exchange(design, column, i, j)`` via incremental
     update of the affected pair terms only (a within-column swap touches
-    2(n-2)+1 pair distances).  Agrees with full evaluation to 1e-10 relative.
+    2(n-2)+1 pair distances).  Agrees with full evaluation to 1e-10 relative:
+    a combo spec without U takes the exchanged design's phi_p, as
+    :func:`evaluate` does.
     """
+    spec = pin_upper(spec, exchange(design, column, i, j))
     return Evaluator(design, spec).propose(column, i, j)

@@ -17,7 +17,9 @@ from . import _kernels
 from .errors import (
     IndexOutOfRangeError,
     IndivisibleRunsError,
+    InvalidDesignError,
     InvalidDimensionError,
+    LhdError,
     UnsupportedExponentError,
 )
 from .rng import Draws, RngStream, as_draws, permutation
@@ -25,6 +27,33 @@ from .rng import Draws, RngStream, as_draws, permutation
 
 def _freeze(X: np.ndarray) -> np.ndarray:
     X.setflags(write=False)
+    return X
+
+
+def as_design(design: np.ndarray) -> np.ndarray:
+    """The design as a C-contiguous n x k int64 array, n >= 2.
+
+    A design of an integer dtype is taken as it is, so the optimizers' int64
+    designs pay no check.  Any other design must hold finite integral
+    values, which cast exactly; a cast would truncate 1.5 to 1 and turn a
+    ``NaN`` into an arbitrary level.
+    """
+    A = np.asarray(design)
+    if A.ndim != 2:
+        raise InvalidDimensionError(f"a design must be 2-D, got {A.ndim}-D")
+    if A.shape[0] < 2:
+        raise InvalidDimensionError("need at least 2 runs")
+    if A.dtype.kind in "iu":
+        return np.ascontiguousarray(A, dtype=np.int64)
+    if A.dtype.kind not in "bfO":
+        raise InvalidDesignError(f"design levels must be integers, got dtype {A.dtype}")
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer
+            X = np.ascontiguousarray(A, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # None, NaN or a huge int as objects
+        X = None
+    if X is None or not (X == A).all():
+        raise InvalidDesignError("design levels must be finite integers within int64")
     return X
 
 
@@ -50,12 +79,12 @@ def exchange(design: np.ndarray, column: int, i: int, j: int) -> np.ndarray:
     The input is left unmodified; applying the same exchange twice restores
     the original design.
     """
-    n, k = design.shape
+    out = as_design(design).copy()
+    n, k = out.shape
     if not 0 <= column < k:
         raise IndexOutOfRangeError(f"column {column} outside 0..{k - 1}")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexOutOfRangeError(f"rows ({i}, {j}) outside 0..{n - 1}")
-    out = np.array(design, dtype=np.int64)
     out[i, column], out[j, column] = out[j, column], out[i, column]
     return _freeze(out)
 
@@ -68,7 +97,7 @@ def distance_matrix(design: np.ndarray, q: int = 1) -> np.ndarray:
     """
     if q not in (1, 2):
         raise UnsupportedExponentError(f"distance exponent must be 1 or 2, got {q}")
-    return _kernels.dist_matrix(np.ascontiguousarray(design, dtype=np.int64), q)
+    return _kernels.dist_matrix(as_design(design), q)
 
 
 @dataclass
@@ -88,8 +117,10 @@ def validate(design: np.ndarray) -> ValidationReport:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         return ValidationReport(False, 0, 0, [], ["matrix must be 2-D and non-empty"])
     n, k = arr.shape
-    if n < 2:
-        return ValidationReport(False, n, k, [False] * k, ["need at least 2 runs"])
+    try:
+        arr = as_design(arr)
+    except LhdError as e:
+        return ValidationReport(False, n, k, [False] * k, [str(e)])
     column_ok: list[bool] = []
     problems: list[str] = []
     want = np.arange(1, n + 1, dtype=np.int64)

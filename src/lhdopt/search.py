@@ -405,9 +405,10 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 
 
 def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, draws: Draws,
-                   budget: _Budget, inspect: Inspect) -> tuple[list[np.ndarray], list[float]]:
-    """Up to ``count`` random designs and their values, one evaluation each;
-    the design is drawn before the budget is checked."""
+                   budget: _Budget, inspect: Inspect) -> tuple[list, list, CriterionSpec]:
+    """Up to ``count`` random designs, their values and the spec they are of:
+    a combo spec without U gets the first design's phi_p, as an annealer
+    takes its start's.  A design is drawn before the budget is checked."""
     designs, vals = [], []
     for _ in range(count):
         X = np.array(random_lhd(n, k, draws))
@@ -415,11 +416,12 @@ def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, draws: Draws
             break
         if inspect is not None:
             inspect(X.copy())
+        spec = crit.pin_upper(spec, X)
         v = crit.evaluate(X, spec)
         budget.record(v, X)
         designs.append(X)
         vals.append(v)
-    return designs, vals
+    return designs, vals, spec
 
 
 def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
@@ -438,8 +440,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     pop_size = config.population
     pmut = config.pmut if config.pmut is not None else 0.25
     budget = _Budget(config.max_evaluations)
-    spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-    pop, vals = _random_starts(pop_size, n, k, spec, draws, budget, inspect)
+    pop, vals, spec = _random_starts(pop_size, n, k, spec, draws, budget, inspect)
 
     while not budget.exhausted():
         elite = int(np.argmin(vals))
@@ -515,8 +516,7 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
     pmut = config.pmut if config.pmut is not None else 1.0 / k
     budget = _Budget(config.max_evaluations)
-    spec = _pin_combo(spec, n, k, gen_seed=config.seed)
-    particles, vals = _random_starts(swarm, n, k, spec, draws, budget, inspect)
+    particles, vals, spec = _random_starts(swarm, n, k, spec, draws, budget, inspect)
 
     pbest = [X.copy() for X in particles]
     pvals = list(vals)
@@ -552,16 +552,6 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     return _result(budget, started, echo)
 
 
-def _pin_combo(spec: CriterionSpec, n: int, k: int, gen_seed: RngStream) -> CriterionSpec:
-    """Population methods evaluate designs independently, so a combo spec
-    needs its normalization upper proxy pinned up front; use the phi_p of the
-    run's first random design (same convention as the annealers)."""
-    if spec.kind != "combo" or spec.norm_upper is not None:
-        return spec
-    probe = random_lhd(n, k, gen_seed)
-    return replace(spec, norm_upper=crit.phi_p(probe, spec.p, spec.q))
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -572,11 +562,15 @@ def missing_inputs(algorithm: str, **given) -> list[str]:
     return [name for name in NEEDS[algorithm] if name in given and given[name] is None]
 
 
-def check_criterion(algorithm: str, kind: str) -> None:
-    """Raise unless ``algorithm`` optimises criterion ``kind``: sa-multiobj
-    optimises combo, built from a phi_p or combo spec's p and q."""
-    if algorithm == "sa-multiobj" and kind not in ("phi_p", "combo"):
-        raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {kind}")
+def check_criterion(algorithm: str, spec: CriterionSpec, weight: float | None) -> None:
+    """Raise unless ``algorithm`` optimises ``spec``: sa-multiobj optimises
+    combo at ``weight``, built from a phi_p or combo spec's p and q, so a
+    combo spec must have that weight."""
+    if algorithm == "sa-multiobj" and spec.kind not in ("phi_p", "combo"):
+        raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {spec.kind}")
+    if algorithm == "sa-multiobj" and spec.kind == "combo" and weight not in (None, spec.weight):
+        raise InvalidConfigError(
+            f"sa-multiobj weight {weight} differs from the combo criterion's {spec.weight}")
 
 
 def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
@@ -601,7 +595,7 @@ def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
         result = oasa_search(arr, spec, config)
         result.config_echo["oa_name"] = oa
         return result
-    check_criterion(alg, spec.kind)
+    check_criterion(alg, spec, config.weight)
     if alg == "sa-multiobj":
         return sa_multiobj_search(n, k, config.weight, config, p=spec.p, q=spec.q)
     if alg == "sa-sliced":

@@ -68,6 +68,9 @@ class TestSpecParsing:
                        criterion={"kind": "maxpro"})
         assert small_spec(algorithms=["sa-multiobj"], weight=0.5,
                           criterion={"kind": "combo", "weight": 0.5}).algorithms == ("sa-multiobj",)
+        with pytest.raises(InvalidConfigError, match="weight 0.3 differs from the combo"):
+            small_spec(algorithms=["sa-multiobj"], weight=0.3,
+                       criterion={"kind": "combo", "weight": 0.7})
 
     def test_cell_streams_are_distinct_and_stable(self):
         s1 = cell_stream("sa", 4, 2, 1)

@@ -92,6 +92,23 @@ class TestGenerate:
     def test_missing_choice_exits_2(self, tmp_path):
         assert run(["generate", "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("args,missing", [
+        (["--random", "-n", "4"], "random needs --k"),
+        (["--construction", "ye1998"], "ye1998 needs --m"),
+        (["--construction", "cioppa2007"], "cioppa2007 needs --m"),
+        (["--construction", "sun2010", "--c", "2"], "sun2010 needs --r"),
+        (["--construction", "sun2010"], "sun2010 needs --c and --r"),
+        (["--construction", "butler2001", "--k", "3"], "butler2001 needs --n"),
+        (["--construction", "oalhd"], "oalhd needs --oa"),
+        (["--construction", "lin2009", "--oa", "OA(25,6,5,2)"], "lin2009 needs --base-csv"),
+        (["--construction", "lin2009"], "lin2009 needs --oa and --base-csv"),
+    ])
+    def test_missing_option_exits_2_and_is_named(self, tmp_path, capsys, args, missing):
+        out = tmp_path / "x.csv"
+        assert run(["generate", *args, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"lhdopt: {missing}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,shape,orthogonal", [
         (["--construction", "cioppa2007", "--m", "4"], (17, 7), True),
         (["--construction", "sun2010", "--c", "2", "--r", "2"], (16, 4), True),

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from lhdopt import (
+    OrthogonalArray,
     RngStream,
     catalog_names,
     good_oa_catalog,
@@ -215,6 +216,15 @@ class TestOaToLhd:
         with pytest.raises(InvalidOAError):
             make_oa(np.array([[1, 1], [2, 2], [1, 2]]), s=2)  # 3 runs, not s^2-divisible
 
+    def test_orthogonal_array_validates_itself(self):
+        cells = [[1, 1], [1, 2], [2, 1], [2, 2]]
+        oa = OrthogonalArray(4, 2, 2, 2, cells)
+        assert oa.cells.dtype == np.int64 and not oa.cells.flags.writeable
+        with pytest.raises(InvalidOAError, match=r"not \(N, K\) = \(8, 2\)"):
+            OrthogonalArray(8, 2, 2, 2, cells)
+        with pytest.raises(InvalidOAError, match="not balanced"):
+            OrthogonalArray(4, 2, 2, 2, [[1, 1], [1, 2], [1, 1], [2, 2]])
+
 
 class TestLin2009:
     def test_pinned_dimensions_and_orthogonality(self):
@@ -250,3 +260,10 @@ class TestLin2009:
             # odd column count
             oa = good_oa_catalog("OA(25,6,5,2)")
             olhd_lin2009(base, make_oa(oa.cells[:, :5], s=5))
+
+    def test_non_integral_base_is_rejected_not_truncated(self):
+        base = olhd_ye1998(2).astype(np.float64)
+        assert olhd_lin2009(base, good_oa_catalog("OA(25,6,5,2)")).shape == (25, 12)
+        base[0, 0] += 0.5
+        with pytest.raises(DimensionMismatchError):
+            olhd_lin2009(base, good_oa_catalog("OA(25,6,5,2)"))

@@ -8,6 +8,7 @@ import oracles
 from conftest import random_design
 from lhdopt import (
     CriterionSpec,
+    RngStream,
     avg_abs_cor,
     column_correlations,
     delta_after_exchange,
@@ -15,6 +16,7 @@ from lhdopt import (
     max_abs_cor,
     maxpro_psi,
     phi_p,
+    random_lhd,
     weighted_objective,
 )
 from lhdopt.criteria import KINDS, Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy
@@ -220,6 +222,20 @@ class TestCorrelations:
         with pytest.raises(TooFewColumnsError):
             max_abs_cor(np.array([[1], [2]]))
 
+    @pytest.mark.parametrize("X", [[[10, 20], [20, 10], [30, 30]],  # integral, not 1..n
+                                   [[1, 2], [1, 1], [3, 3]],        # a repeated level
+                                   [[0, 1], [1, 2], [2, 3]]])       # shifted levels
+    def test_levels_other_than_1_to_n_are_a_typed_error(self, X):
+        for fn in (avg_abs_cor, max_abs_cor, avg_sq_cor, column_correlations):
+            with pytest.raises(InvalidDesignError, match="permutation of 1..3"):
+                fn(X)
+        for kind in ("avgcor", "maxcor", "combo"):
+            spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
+            with pytest.raises(InvalidDesignError):
+                evaluate(X, spec)
+            with pytest.raises(InvalidDesignError):
+                Evaluator(X, spec)
+
 
 class TestWeightedObjective:
     def test_weight_one_is_avg_sq_cor(self, gen):
@@ -339,17 +355,25 @@ class TestDeltaAfterExchange:
             n = int(gen.integers(3, 21))
             k = int(gen.integers(2, 9))
             X = random_design(gen, n, k)
-            if kind == "combo":
-                spec = CriterionSpec(
-                    "combo", weight=float(gen.random()), norm_upper=phi_p(X) * 1.5
-                )
+            if kind == "combo":  # with U pinned, and without (U of the evaluated design)
+                w = float(gen.random())
+                specs = [CriterionSpec("combo", weight=w, norm_upper=upper)
+                         for upper in (phi_p(X) * 1.5, None)]
             else:
-                spec = CriterionSpec(kind, q=int(gen.integers(1, 3)))
+                specs = [CriterionSpec(kind, q=int(gen.integers(1, 3)))]
             c = int(gen.integers(k))
             i, j = int(gen.integers(n)), int(gen.integers(n))
-            got = delta_after_exchange(X, spec, c, i, j)
-            want = evaluate(exchange(X, c, i, j), spec)
-            assert got == pytest.approx(want, rel=1e-10)
+            for spec in specs:
+                got = delta_after_exchange(X, spec, c, i, j)
+                want = evaluate(exchange(X, c, i, j), spec)
+                assert got == pytest.approx(want, rel=1e-10)
+
+    def test_unpinned_combo_scales_by_the_exchanged_design(self):
+        X = random_lhd(8, 3, RngStream(1))
+        spec = CriterionSpec("combo", weight=0.5)
+        want = evaluate(exchange(X, 0, 1, 2), spec)
+        assert want == pytest.approx(0.55348, abs=1e-5)
+        assert delta_after_exchange(X, spec, 0, 1, 2) == pytest.approx(want, rel=1e-10)
 
     def test_evaluator_long_run_agreement(self, gen):
         # a long accept/reject stream must not drift away from full evaluation

@@ -15,6 +15,7 @@ from lhdopt import (
 from lhdopt.errors import (
     IndexOutOfRangeError,
     IndivisibleRunsError,
+    InvalidDesignError,
     InvalidDimensionError,
     InvalidParameterError,
     UnsupportedExponentError,
@@ -88,6 +89,11 @@ class TestExchange:
         with pytest.raises(IndexOutOfRangeError):
             exchange(np.array([[1, 1], [2, 2], [3, 3]]), c, i, j)
 
+    def test_levels_go_through_the_design_check(self):
+        assert exchange([[1.0, 2.0], [2.0, 1.0]], 0, 0, 1).tolist() == [[2, 2], [1, 1]]
+        with pytest.raises(InvalidDesignError):
+            exchange([[1.5, 2], [2, 1]], 0, 0, 1)  # would truncate 1.5 to 1
+
 
 class TestDistanceMatrix:
     def test_rectangular(self):
@@ -105,6 +111,12 @@ class TestDistanceMatrix:
     def test_unsupported_exponent(self):
         with pytest.raises(UnsupportedExponentError):
             distance_matrix(np.array([[1], [2]]), q=3)
+
+    def test_non_integral_levels_are_a_typed_error(self):
+        # truncated to [[1, 2], [2, 1], [3, 3]], d_02 would read 3 where it is 2.5
+        with pytest.raises(InvalidDesignError):
+            distance_matrix([[1.5, 2], [2.5, 1], [3, 3]])
+        assert distance_matrix([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])[0, 2] == 3.0
 
     def test_min_distance_at_least_one(self, gen):
         for _ in range(30):
@@ -133,6 +145,12 @@ class TestValidate:
     def test_single_run_rejected(self):
         rep = validate(np.array([[1, 1]]))
         assert not rep.ok and "need at least 2 runs" in rep.problems
+
+    @pytest.mark.parametrize("X", [[[1.5, 2], [2, 1]], [[1, np.nan], [2, 1]], [["1", "2"], ["2", "1"]]])
+    def test_non_integral_levels_are_reported_not_raised(self, X):
+        rep = validate(np.array(X))
+        assert not rep.ok and rep.column_ok == [False, False]
+        assert "design levels must" in rep.problems[0]
 
 
 class TestSlices:

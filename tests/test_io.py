@@ -5,7 +5,8 @@ import pytest
 
 from lhdopt import RngStream, good_oa_catalog, random_lhd
 from lhdopt.cli import main
-from lhdopt.errors import LhdError
+from lhdopt.constructions import parse_oa
+from lhdopt.errors import InvalidOAError, LhdError
 from lhdopt.io import (
     read_design,
     read_json,
@@ -87,3 +88,29 @@ class TestOaFiles:
         assert main(["generate", "--construction", "oalhd", "--oa", str(oa_file),
                      "--fill", "deterministic", "-o", str(out2)]) == 0
         assert read_design(out2).shape == (9, 4)
+
+    @pytest.mark.parametrize("sidecar", [{"N": 9, "K": 4}, [1, 2]])
+    @pytest.mark.parametrize("command", ["search", "generate"])
+    def test_cli_rejects_a_sidecar_without_n_k_s_t(self, tmp_path, capsys, sidecar, command):
+        oa_file = write_oa(tmp_path / "a.csv", good_oa_catalog("OA(9,4,3,2)"))
+        write_json(sidecar_path(oa_file), sidecar)
+        out = str(tmp_path / "x.csv")
+        args = (["search", "--alg", "oasa", "--budget", "100"] if command == "search"
+                else ["generate", "--construction", "oalhd"])
+        assert main([*args, "--oa", str(oa_file), "-o", out]) == 2
+        assert "an OA sidecar must declare integers N, K, s and t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar", [
+        {"N": 9, "K": 4, "s": 3}, {"N": 9, "K": 4, "s": 3.0, "t": 2},
+        {"N": 9, "K": 4, "s": "3", "t": 2}, {"N": 9, "K": 4, "s": 3, "t": True}, None,
+    ])
+    def test_parser_rejects_missing_or_non_integer_fields(self, sidecar):
+        text = "\n".join(",".join(map(str, row)) for row in good_oa_catalog("OA(9,4,3,2)").cells)
+        assert parse_oa(text, {"N": 9, "K": 4, "s": 3, "t": 2}).K == 4
+        with pytest.raises(InvalidOAError):
+            parse_oa(text, sidecar)
+
+    @pytest.mark.parametrize("text", ["1,2\n2,x\n", "1,1\n1,2\n2\n", ""])
+    def test_parser_rejects_cells_that_are_not_an_integer_matrix(self, text):
+        with pytest.raises(InvalidOAError):
+            parse_oa(text, {"N": 4, "K": 2, "s": 2, "t": 2})

@@ -200,6 +200,13 @@ class TestSaMultiobj:
         unset = sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=300))
         assert same.value == unset.value
 
+    def test_run_rejects_a_combo_criterion_of_another_weight(self):
+        combo = CriterionSpec("combo", weight=0.7)
+        with pytest.raises(InvalidConfigError, match="weight 0.3 differs from the combo"):
+            S.run(cfg("sa-multiobj", budget=100, weight=0.3), combo, 6, 3)
+        agreed = S.run(cfg("sa-multiobj", budget=300, weight=0.7), combo, 6, 3)
+        assert agreed.config_echo["criterion"]["weight"] == 0.7
+
 
 class TestSlicedSa:
     def test_every_visited_design_is_slice_valid(self):
