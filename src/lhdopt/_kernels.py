@@ -6,15 +6,16 @@ gives the same bits on every install.  Callers go through the module
 attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
 ``IMPLEMENTATIONS``.
 
-The full-design kernels gather the row-pair gaps column-major, in k x m
-blocks over the pairs a < b of ``pair_indices(n)``, and reduce each block
-over its k rows: into exact int64 distances for phi_p, whose float part then
-runs over all pairs at once, and into products in the order l = 0..k-1 for
-maxpro.  All kernels take an int64 design of n >= 2 rows of levels 1..n and
-treat a "swap" as exchanging rows ``i`` and ``j`` within column ``col``.  The
-O(n) delta kernels read the per-pair state that the annealer states of
-``criteria.Evaluator`` keep between moves (``gap_power_sums`` for phi_p,
-``gap_products`` for maxpro) and the swapped column, taken *before* the swap.
+Every row-pair gap is gathered in one place, ``_pair_gap_blocks``, in k x m
+blocks over the pairs a < b of ``pair_indices(n)``, and each block is
+reduced over its k rows: into exact int64 sums of |gap|^q
+(``pair_gap_sums``) or into squared-gap products in the order l = 0..k-1
+(``pair_gap_products``).  The full-design kernels reduce these pair vectors
+further; the annealer states of ``criteria.Evaluator`` scatter them into
+n x n matrices (``pair_matrix``) that the O(n) delta kernels read, with the
+swapped column taken *before* the swap.  All kernels take an int64 design
+of n >= 2 rows of levels 1..n; a "swap" exchanges rows ``i`` and ``j``
+within column ``col``.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
@@ -33,18 +34,6 @@ import functools
 import math
 
 import numpy as np
-
-
-def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
-    """n x n int64 matrix of sum_l |x_il - x_jl|^q: the L1 distance for q=1,
-    the squared L2 distance for q=2.  Built one column at a time, so the
-    temporaries stay n x n."""
-    n = X.shape[0]
-    S = np.zeros((n, n), dtype=np.int64)
-    for x in X.T:
-        d = np.abs(x[:, None] - x)
-        S += d if q == 1 else d * d
-    return S
 
 
 def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -79,18 +68,43 @@ def _pair_gap_blocks(XT: np.ndarray):
         yield XT.take(a[lo:lo + step], axis=1) - XT.take(b[lo:lo + step], axis=1)
 
 
+def pair_gap_sums(X: np.ndarray, q: int) -> np.ndarray:
+    """Exact int64 sums over l of |x_al - x_bl|^q for the row pairs a < b,
+    in ``pair_indices`` order: L1 distances for q=1, squared L2 for q=2."""
+    return np.concatenate([(np.abs(g, out=g) if q == 1 else np.square(g, out=g)).sum(axis=0)
+                           for g in _pair_gap_blocks(X.T)])
+
+
+def pair_gap_products(XT: np.ndarray) -> np.ndarray:
+    """Products prod_l (x_al - x_bl)^2, multiplied in the order l = 0..k-1,
+    of the transposed float64 design ``XT``, in ``pair_indices`` order."""
+    return np.concatenate([np.multiply.reduce(np.square(g, out=g), axis=0)
+                           for g in _pair_gap_blocks(XT)])
+
+
+def pair_matrix(v: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix, zero on the diagonal, that holds the
+    pair vector ``v`` (``pair_indices`` order) at (a, b) and (b, a)."""
+    M = np.zeros((n, n), dtype=v.dtype)
+    a, b = pair_indices(n)
+    M[a, b] = M[b, a] = v
+    return M
+
+
+def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
+    """n x n int64 matrix of the ``pair_gap_sums`` of X."""
+    return pair_matrix(pair_gap_sums(X, q), X.shape[0])
+
+
 def pair_distances(X: np.ndarray, q: int) -> np.ndarray:
     """float64 pair distances, in ``pair_indices`` order, from exact int64 sums."""
-    sums = [(np.abs(g, out=g) if q == 1 else np.square(g, out=g)).sum(axis=0)
-            for g in _pair_gap_blocks(X.T)]
-    d = np.concatenate(sums, dtype=np.float64)
+    d = pair_gap_sums(X, q).astype(np.float64)
     return d if q == 1 else np.sqrt(d, out=d)
 
 
 def dist_matrix(X: np.ndarray, q: int) -> np.ndarray:
     """Full n x n inter-row distance matrix, d_ij = (sum_l |x_il-x_jl|^q)^(1/q)."""
-    S = gap_power_sums(X, q)
-    return S.astype(np.float64) if q == 1 else np.sqrt(S)
+    return pair_matrix(pair_distances(X, q), X.shape[0])
 
 
 def phi_sum(X: np.ndarray, p: float, q: int) -> float:
@@ -154,15 +168,9 @@ def phi_delta(S: np.ndarray, W: np.ndarray, x: np.ndarray, i: int, j: int,
 
 
 def maxpro_sum(X: np.ndarray) -> float:
-    """Sum over row pairs of 1 / prod_l (x_il - x_jl)^2; -1.0 if a gap is zero,
-    ``inf`` if a pair product overflows float64.
-
-    Each pair multiplies its factors in the order l = 0..k-1, and the
-    reciprocals are summed once over all pairs, whatever the block size.
-    """
-    prods = [np.multiply.reduce(np.square(g, out=g), axis=0)
-             for g in _pair_gap_blocks(X.T.astype(np.float64))]
-    return reciprocal_sum(np.concatenate(prods))
+    """Sum over row pairs of 1 / ``pair_gap_products``; -1.0 if a gap is
+    zero, ``inf`` if a pair product overflows float64."""
+    return reciprocal_sum(pair_gap_products(X.T.astype(np.float64)))
 
 
 def reciprocal_sum(pairs: np.ndarray) -> float:
@@ -180,7 +188,7 @@ def maxpro_delta(P: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> floa
     """New maxpro pair sum ``s`` after rows i, j swap their entries of the
     column ``x`` (float64 levels).
 
-    ``P`` is the ``gap_products`` matrix of the design before the swap.  Its
+    ``P`` is the n x n pair product matrix of the design before the swap.  Its
     rows i, j without columns i, j form one C-ordered 2 x (n-2) block, whose
     row sums add up in the same order as the two 1-D rows; the swap moves
     the column's factor between the block's two rows.

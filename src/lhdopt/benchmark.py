@@ -19,7 +19,7 @@ import numpy as np
 
 from . import search as S
 from .criteria import CriterionSpec
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, as_int
 from .io import read_json
 from .rng import RngStream
 
@@ -46,12 +46,12 @@ class BenchmarkSpec:
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
         try:
             spec = cls(
-                grid=tuple((_integer(n, "grid"), _integer(k, "grid")) for n, k in d["grid"]),
+                grid=tuple((as_int(n, "grid"), as_int(k, "grid")) for n, k in d["grid"]),
                 algorithms=_strings(d["algorithms"], "algorithms"),
                 criterion=CriterionSpec.from_dict(d.get("criterion", {"kind": "phi_p"})),
-                replications=_integer(d["replications"], "replications"),
-                budget=_integer(d["budget"], "budget"),
-                base_seed=_integer(d["base_seed"], "base_seed"),
+                replications=as_int(d["replications"], "replications"),
+                budget=as_int(d["budget"], "budget"),
+                base_seed=as_int(d["base_seed"], "base_seed"),
                 weight=d.get("weight"),
                 slices_t=d.get("slices_t"),
                 oa_name=d.get("oa"),
@@ -59,7 +59,7 @@ class BenchmarkSpec:
         except (KeyError, TypeError, ValueError) as e:
             raise InvalidConfigError(f"malformed benchmark spec: {e}") from e
         if spec.slices_t is not None:
-            _integer(spec.slices_t, "slices_t")
+            as_int(spec.slices_t, "slices_t")
         if not isinstance(spec.oa_name, (str, type(None))):
             raise InvalidConfigError(f"oa must be a catalog name or CSV path, got {spec.oa_name!r}")
         if isinstance(spec.weight, bool) or not isinstance(spec.weight, (int, float, type(None))):
@@ -84,13 +84,6 @@ class BenchmarkSpec:
 
 
 _FIELDS = {"slices": "slices_t"}  # run() input -> spec field, where the names differ
-
-
-def _integer(v, name: str) -> int:
-    """A JSON integer field: an int that is not a bool (floats are not truncated)."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InvalidConfigError(f"{name} must be an integer, got {v!r}")
-    return v
 
 
 def _strings(v, name: str) -> tuple[str, ...]:

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .criteria import max_abs_cor
-from .design import validate
+from .design import parse_int_csv, rearranged_columns, validate
 from .errors import (
     DimensionMismatchError,
     InvalidOAError,
@@ -44,7 +44,8 @@ from .rng import Draws, RngStream, as_draws, permutation
 class OrthogonalArray:
     """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength 2.
     Construction validates it (:func:`validate_oa`, and N x K cells), and
-    keeps the cells as a read-only int64 copy."""
+    keeps the cells as a read-only int64 copy; arrays with equal symbols,
+    strength and cells are equal."""
 
     N: int
     K: int
@@ -60,6 +61,15 @@ class OrthogonalArray:
         if cells.shape != (self.N, self.K):
             raise InvalidOAError(f"cells are {cells.shape}, not (N, K) = ({self.N}, {self.K})")
 
+    def __eq__(self, other):
+        if not isinstance(other, OrthogonalArray):
+            return NotImplemented
+        return (self.s, self.strength) == (other.s, other.strength) and np.array_equal(
+            self.cells, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.strength, self.cells.shape, self.cells.tobytes()))
+
     @property
     def reps(self) -> int:
         """Appearances of each symbol per column (N/s)."""
@@ -72,15 +82,13 @@ def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> None:
     if A.ndim != 2:
         raise InvalidOAError("array must be 2-D")
     N, K = A.shape
-    if s < 2 or N % s != 0 or N % (s * s) != 0:
+    if s < 2 or N == 0 or N % (s * s) != 0:
         raise InvalidOAError(f"run count {N} incompatible with s={s} at strength 2")
     if strength < 2:
         raise InvalidOAError("strength must be at least 2")
-    want = np.arange(1, s + 1)
-    for c in range(K):
-        vals, counts = np.unique(A[:, c], return_counts=True)
-        if not (np.array_equal(vals, want) and np.all(counts == N // s)):
-            raise InvalidOAError(f"column {c + 1} is not balanced over symbols 1..{s}")
+    unbalanced = np.flatnonzero(~rearranged_columns(A, np.repeat(np.arange(1, s + 1), N // s)))
+    if unbalanced.size:
+        raise InvalidOAError(f"column {unbalanced[0] + 1} is not balanced over symbols 1..{s}")
     lam = N // (s * s)
     for a, b in combinations(range(K), 2):
         pair_codes = (A[:, a] - 1) * s + (A[:, b] - 1)
@@ -102,8 +110,7 @@ def parse_oa(text: str, sidecar) -> OrthogonalArray:
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in declared):
         raise InvalidOAError(f"an OA sidecar must declare integers N, K, s and t, got {sidecar!r}")
     try:
-        cells = np.array([[int(v) for v in line.split(",")]
-                          for line in text.strip().splitlines() if line.strip()], dtype=np.int64)
+        cells = parse_int_csv(text)
     except ValueError as e:
         raise InvalidOAError(f"OA cells are not an integer CSV matrix: {e}") from e
     return OrthogonalArray(*declared, cells)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .design import as_design, exchange
+from .design import as_design, exchange, rearranged_columns
 from .errors import (
     DegenerateCoordinateError,
     IndexOutOfRangeError,
@@ -36,13 +36,12 @@ from .errors import (
 
 KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 
+# the (correlation, distance) kinds that "combo" combines, as sidecars record them
+COMBO_PARTS = ("avgsqcor", "phi_p")
+
 # commits between recomputations of the incremental maxpro pair sum, which
 # bounds its float drift from long accept streams well below the 1e-10 contract
 _REFRESH_EVERY = 4096
-
-# rows of the maxpro pair products P per gap_products call at setup, which
-# bounds the call's k x rows x n temporary (6 MiB at 500 x 50)
-_P_ROWS = 32
 
 # most commits between recomputations of the phi_p pair sum from the exact
 # distances (see _PhiState): in between, a commit rounds by at most about
@@ -63,8 +62,8 @@ class CriterionSpec:
 
     kind        one of "phi_p", "maxpro", "avgcor", "maxcor", "combo"
     p, q        phi_p exponent (>= 1) and distance exponent (1 or 2)
-    weight      w in [0, 1]; only used by "combo"
-    combo_parts constituent kinds of the combination (correlation, distance)
+    weight      w in [0, 1]; only used by "combo", which always combines
+                avgsqcor and phi_p (``COMBO_PARTS``)
     norm_upper  upper proxy U for the normalized phi_p term of "combo";
                 optimizers set it from the run's starting design, standalone
                 evaluation falls back to the evaluated design's own phi_p
@@ -74,7 +73,6 @@ class CriterionSpec:
     p: int = 15
     q: int = 1
     weight: float | None = None
-    combo_parts: tuple[str, str] = ("avgsqcor", "phi_p")
     norm_upper: float | None = None
 
     def __post_init__(self):
@@ -89,16 +87,12 @@ class CriterionSpec:
         if self.kind == "combo":
             if self.weight is None or not 0.0 <= float(self.weight) <= 1.0:
                 raise InvalidWeightError(f"combo weight must be in [0,1], got {self.weight!r}")
-            if tuple(self.combo_parts) != ("avgsqcor", "phi_p"):
-                raise InvalidConfigError(
-                    "only the (avgsqcor, phi_p) combination is supported"
-                )
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "p": int(self.p), "q": int(self.q)}
         if self.kind == "combo":
             d["weight"] = float(self.weight)
-            d["combo_parts"] = list(self.combo_parts)
+            d["combo_parts"] = list(COMBO_PARTS)
             if self.norm_upper is not None:
                 d["norm_upper"] = float(self.norm_upper)
         return d
@@ -106,8 +100,8 @@ class CriterionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CriterionSpec":
         kw = dict(d)
-        if "combo_parts" in kw:
-            kw["combo_parts"] = tuple(kw["combo_parts"])
+        if kw.pop("combo_parts", COMBO_PARTS) not in (COMBO_PARTS, list(COMBO_PARTS)):
+            raise InvalidConfigError("only the (avgsqcor, phi_p) combination is supported")
         return cls(**kw)
 
 
@@ -154,7 +148,7 @@ def _doubled_centered(X: np.ndarray) -> np.ndarray:
     """The levels z = 2x - (n+1) of the correlation arithmetic, which needs
     every column of X to be a permutation of 1..n; any other levels raise."""
     n = X.shape[0]
-    if not (np.sort(X, axis=0) == np.arange(1, n + 1)[:, None]).all():
+    if not rearranged_columns(X, np.arange(1, n + 1)).all():
         raise InvalidDesignError(f"correlations need every column to be a permutation of 1..{n}")
     return 2 * X - (n + 1)
 
@@ -422,16 +416,13 @@ class _MaxproState:
     """maxpro state: a k x n float64 transposed copy ``XT`` of the design,
     its pair gap products ``P`` and the running pair sum ``s``.  A commit
     recomputes rows and columns i, j of ``P`` from ``XT``, so ``P`` never
-    drifts; ``s`` is recomputed from ``P`` every ``_REFRESH_EVERY`` commits.
-    ``P`` is built in row blocks, so setup never holds a k x n x n tensor."""
+    drifts; ``s`` is recomputed from ``P`` every ``_REFRESH_EVERY`` commits."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         self.npairs, self.k = n * (n - 1) // 2, k
-        XT = self.XT = X.T.astype(np.float64)
-        self.P = np.empty((n, n))
-        for r in range(0, n, _P_ROWS):
-            self.P[r:r + _P_ROWS] = _kernels.gap_products(XT[:, r:r + _P_ROWS], XT)
+        self.XT = X.T.astype(np.float64)
+        self.P = _kernels.pair_matrix(_kernels.pair_gap_products(self.XT), n)
         self._refresh()
         self.commits = 0
 

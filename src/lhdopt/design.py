@@ -21,6 +21,7 @@ from .errors import (
     InvalidDimensionError,
     LhdError,
     UnsupportedExponentError,
+    as_int,
 )
 from .rng import Draws, RngStream, as_draws, permutation
 
@@ -31,7 +32,7 @@ def _freeze(X: np.ndarray) -> np.ndarray:
 
 
 def as_design(design: np.ndarray) -> np.ndarray:
-    """The design as a C-contiguous n x k int64 array, n >= 2.
+    """The design as a C-contiguous n x k int64 array, n >= 2, k >= 1.
 
     A design of an integer dtype is taken as it is, so the optimizers' int64
     designs pay no check.  Any other design must hold finite integral
@@ -43,6 +44,8 @@ def as_design(design: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError(f"a design must be 2-D, got {A.ndim}-D")
     if A.shape[0] < 2:
         raise InvalidDimensionError("need at least 2 runs")
+    if A.shape[1] < 1:
+        raise InvalidDimensionError("need at least 1 factor")
     if A.dtype.kind in "iu":
         return np.ascontiguousarray(A, dtype=np.int64)
     if A.dtype.kind not in "bfO":
@@ -57,6 +60,13 @@ def as_design(design: np.ndarray) -> np.ndarray:
     return X
 
 
+def parse_int_csv(text: str) -> np.ndarray:
+    """The int64 array of CSV text, one row per non-blank line; a cell that is
+    no integer or a ragged row raises ``ValueError`` for the caller to wrap."""
+    return np.array([[int(v) for v in line.split(",")]
+                     for line in text.strip().splitlines() if line.strip()], dtype=np.int64)
+
+
 def random_lhd(n: int, k: int, rng: RngStream | Draws | np.random.Generator) -> np.ndarray:
     """Random LHD: each column an independent Fisher-Yates permutation of 1..n.
 
@@ -64,6 +74,7 @@ def random_lhd(n: int, k: int, rng: RngStream | Draws | np.random.Generator) -> 
     same design.  Columns are drawn left to right.  A ``Generator`` is left
     where the same draws made through NumPy would leave it (``rng.as_draws``).
     """
+    n, k = as_int(n, "n", InvalidDimensionError), as_int(k, "k", InvalidDimensionError)
     if n < 2 or k < 1:
         raise InvalidDimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     X = np.empty((n, k), dtype=np.int64)
@@ -121,22 +132,24 @@ def validate(design: np.ndarray) -> ValidationReport:
         arr = as_design(arr)
     except LhdError as e:
         return ValidationReport(False, n, k, [False] * k, [str(e)])
-    column_ok: list[bool] = []
+    ok = rearranged_columns(arr, np.arange(1, n + 1))
     problems: list[str] = []
-    want = np.arange(1, n + 1, dtype=np.int64)
-    for c in range(k):
+    for c in np.flatnonzero(~ok):
         col = arr[:, c]
-        sorted_col = np.sort(col)
-        if np.array_equal(sorted_col, want):
-            column_ok.append(True)
-            continue
-        column_ok.append(False)
         if col.min() < 1 or col.max() > n:
             problems.append(f"column {c + 1}: levels not in 1..{n}")
         else:
-            dup = int(sorted_col[np.nonzero(np.diff(sorted_col) == 0)[0][0]])
-            problems.append(f"column {c + 1}: repeats level {dup}")
-    return ValidationReport(all(column_ok), n, k, column_ok, problems)
+            levels = np.sort(col)
+            problems.append(f"column {c + 1}: repeats level {levels[1:][np.diff(levels) == 0][0]}")
+    return ValidationReport(bool(ok.all()), n, k, ok.tolist(), problems)
+
+
+def rearranged_columns(X: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per column of the 2-D ``X``, whether it is a rearrangement of the
+    sorted vector ``levels``; no column of another length is."""
+    if X.shape[0] != len(levels):
+        return np.zeros(X.shape[1], dtype=bool)
+    return (np.sort(X, axis=0) == levels[:, None]).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -164,6 +177,7 @@ class SliceStructure:
 
 def make_slices(n: int, t: int) -> SliceStructure:
     """Contiguous slice structure: rows 0..m-1 form slice 1, and so on."""
+    n, t = as_int(n, "n", InvalidDimensionError), as_int(t, "t", InvalidDimensionError)
     if t < 2:
         raise IndivisibleRunsError(f"need at least 2 slices, got t={t}")
     if n % t != 0:
@@ -178,14 +192,10 @@ def make_slices(n: int, t: int) -> SliceStructure:
 
 def is_slice_valid(design: np.ndarray, slices: SliceStructure) -> bool:
     """True when the design is a valid LHD and every slice collapses to one."""
-    n, k = design.shape
-    if n != slices.n or not validate(design).ok:
+    X = as_design(design)
+    if not rearranged_columns(X, np.arange(1, slices.n + 1)).all():
         return False
-    bins = (np.asarray(design) + slices.t - 1) // slices.t
-    want = np.arange(1, slices.m + 1, dtype=np.int64)
-    for s in range(1, slices.t + 1):
-        block = bins[slices.rows_of(s), :]
-        for c in range(k):
-            if not np.array_equal(np.sort(block[:, c]), want):
-                return False
-    return True
+    bins = (X + slices.t - 1) // slices.t
+    want = np.arange(1, slices.m + 1)
+    return all(rearranged_columns(bins[slices.rows_of(s)], want).all()
+               for s in range(1, slices.t + 1))

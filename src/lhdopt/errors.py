@@ -2,7 +2,10 @@
 
 Every error raised by the library derives from :class:`LhdError`, so callers
 can catch one type at the boundary (the CLI maps them to exit codes).
+``as_int`` is the one check of an integer argument.
 """
+
+import numbers
 
 
 class LhdError(Exception):
@@ -63,3 +66,11 @@ class UnknownNameError(LhdError, KeyError):
 
 class InvalidDesignError(LhdError, ValueError):
     """A matrix failed Latin hypercube validation."""
+
+
+def as_int(value, name: str, error: type[LhdError] = InvalidConfigError) -> int:
+    """``value`` as an int: a Python or NumPy integer that is not a bool.  A
+    float, even an integral one, raises ``error`` instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

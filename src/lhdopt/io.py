@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import OrthogonalArray, good_oa_catalog, parse_oa
+from .design import parse_int_csv
 from .errors import LhdError
 
 
@@ -37,14 +38,8 @@ def _read_text(path: Path) -> str:
 
 def read_design(path: str | Path) -> np.ndarray:
     path = Path(path)
-    text = _read_text(path)
     try:
-        rows = [
-            [int(v) for v in line.split(",")]
-            for line in text.strip().splitlines()
-            if line.strip()
-        ]
-        arr = np.array(rows, dtype=np.int64)
+        arr = parse_int_csv(_read_text(path))
     except ValueError as e:
         raise LhdError(f"{path} is not an integer CSV matrix: {e}") from e
     if arr.ndim != 2 or arr.size == 0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -29,7 +30,7 @@ from . import criteria as crit
 from .constructions import OrthogonalArray, oa_to_lhd
 from .criteria import CriterionSpec, Evaluator
 from .design import SliceStructure, make_slices, random_lhd
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, as_int
 from .io import load_oa
 from .rng import Draws, RngStream, permutation, two_distinct
 
@@ -78,7 +79,14 @@ class OptimizerConfig:
             raise InvalidConfigError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
-        if not (isinstance(self.max_evaluations, (int, np.integer)) and self.max_evaluations > 0):
+        for name in _INTEGERS:
+            if getattr(self, name) is not None:
+                setattr(self, name, as_int(getattr(self, name), name))
+        for name in ("alpha", "t0", "pmut", "weight"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise InvalidConfigError(f"{name} must be a number, got {v!r}")
+        if self.max_evaluations < 1:
             raise InvalidConfigError(f"budget must be a positive integer, got {self.max_evaluations!r}")
         if not isinstance(self.seed, RngStream):
             raise InvalidConfigError("seed must be an RngStream")
@@ -114,6 +122,9 @@ class OptimizerConfig:
         return cls(algorithm=echo["algorithm"], max_evaluations=echo["max_evaluations"],
                    seed=RngStream(echo["seed"], echo["stream"]), **kw)
 
+
+# the integer fields of OptimizerConfig; a float is refused, not truncated
+_INTEGERS = ("max_evaluations", "moves_per_temp", "population", "swarm", "same_num_p", "same_num_g")
 
 # OptimizerConfig fields besides the algorithm, budget and seed; a run's
 # ``config_echo`` carries those that are set
@@ -511,12 +522,11 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     """
     started = time.perf_counter()
     draws = config.seed.draws()
-    swarm = config.swarm
+    budget = _Budget(config.max_evaluations)
+    particles, vals, spec = _random_starts(config.swarm, n, k, spec, draws, budget, inspect)
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
-    pmut = config.pmut if config.pmut is not None else 1.0 / k
-    budget = _Budget(config.max_evaluations)
-    particles, vals, spec = _random_starts(swarm, n, k, spec, draws, budget, inspect)
+    pmut = config.pmut if config.pmut is not None else 1.0 / k  # k >= 1: random_lhd checks it
 
     pbest = [X.copy() for X in particles]
     pvals = list(vals)

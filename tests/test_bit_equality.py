@@ -2,7 +2,7 @@
 
 The pair-indexed full kernels, the position-indexed ``match_swaps``, the
 list-based ``permutation`` (drawing from ``rng.Draws``, their references
-from NumPy's ``Generator``), the per-column ``gap_power_sums`` and the
+from NumPy's ``Generator``), the pair-gathered ``gap_power_sums`` and the
 annealer states' maxpro and correlation updates replace slower
 expressions of the same arithmetic and the same draws.  The reference
 forms are kept here, and every check is exact (``==``, not a tolerance):

@@ -192,6 +192,13 @@ class TestCatalog:
         with pytest.raises(UnknownNameError):
             good_oa_catalog("OA(7,7,7,7)")
 
+    def test_equality_and_hash_compare_the_cells(self):
+        a, b = good_oa_catalog("OA(9,4,3,2)"), good_oa_catalog("OA(9,4,3,2)")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != good_oa_catalog("OA(4,3,2,2)")
+        assert a != make_oa(a.cells[::-1], s=3)  # same runs, other order
+        assert a != "OA(9,4,3,2)"
+
 
 class TestOaToLhd:
     def test_deterministic_fill_example(self):
@@ -224,6 +231,10 @@ class TestOaToLhd:
             OrthogonalArray(8, 2, 2, 2, cells)
         with pytest.raises(InvalidOAError, match="not balanced"):
             OrthogonalArray(4, 2, 2, 2, [[1, 1], [1, 2], [1, 1], [2, 2]])
+        with pytest.raises(InvalidOAError, match="column 2 is not balanced over symbols 1..2"):
+            OrthogonalArray(4, 2, 2, 2, [[1, 1], [1, 2], [2, 3], [2, 2]])
+        with pytest.raises(InvalidOAError, match="run count 0"):
+            make_oa(np.zeros((0, 2), dtype=np.int64), s=2)
 
 
 class TestLin2009:

@@ -292,6 +292,19 @@ class TestWeightedObjective:
             assert evaluate(X, spec) == want
             assert Evaluator(X, spec).value() == want
 
+    def test_combo_parts_is_a_constant_of_the_dict_form(self):
+        spec = CriterionSpec("combo", weight=0.5)
+        d = spec.to_dict()
+        assert d["combo_parts"] == ["avgsqcor", "phi_p"]
+        assert CriterionSpec.from_dict(d) == spec
+        del d["combo_parts"]
+        assert CriterionSpec.from_dict(d) == spec
+        for parts in (["phi_p", "avgsqcor"], ["avgsqcor"], "avgsqcor", 5, None):
+            with pytest.raises(InvalidConfigError, match="only the"):
+                CriterionSpec.from_dict({**d, "combo_parts": parts})
+        with pytest.raises(TypeError):
+            CriterionSpec("combo", weight=0.5, combo_parts=("avgsqcor", "phi_p"))
+
     def test_invalid_weight(self):
         with pytest.raises(InvalidWeightError):
             CriterionSpec("combo", weight=1.5)

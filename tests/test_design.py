@@ -5,6 +5,7 @@ import pytest
 
 from lhdopt import (
     RngStream,
+    SliceStructure,
     distance_matrix,
     exchange,
     is_slice_valid,
@@ -12,6 +13,7 @@ from lhdopt import (
     random_lhd,
     validate,
 )
+from lhdopt.design import rearranged_columns
 from lhdopt.errors import (
     IndexOutOfRangeError,
     IndivisibleRunsError,
@@ -40,10 +42,15 @@ class TestRandomLhd:
         b = random_lhd(20, 4, RngStream(7, 1))
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n,k", [(1, 2), (0, 1), (2, 0), (5, -1)])
+    @pytest.mark.parametrize("n,k", [(1, 2), (0, 1), (2, 0), (5, -1), (3.5, 2), (4.0, 2),
+                                     (4, 2.0), (True, 2), ("4", 2)])
     def test_invalid_dimensions(self, n, k):
         with pytest.raises(InvalidDimensionError):
             random_lhd(n, k, RngStream(0))
+
+    def test_numpy_integer_dimensions(self):
+        X = random_lhd(np.int64(5), np.int32(3), RngStream(4))
+        assert np.array_equal(X, random_lhd(5, 3, RngStream(4)))
 
     def test_permutation_closure(self, gen):
         for _ in range(50):
@@ -153,6 +160,16 @@ class TestValidate:
         assert "design levels must" in rep.problems[0]
 
 
+class TestRearrangedColumns:
+    def test_per_column_answer(self):
+        X = np.array([[2, 1, 1], [1, 1, 3], [3, 3, 2]])
+        assert rearranged_columns(X, np.arange(1, 4)).tolist() == [True, False, True]
+        assert rearranged_columns(X, np.array([1, 1, 3])).tolist() == [False, True, False]
+
+    def test_other_length_is_no_rearrangement(self):
+        assert rearranged_columns(np.array([[1], [2]]), np.arange(1, 4)).tolist() == [False]
+
+
 class TestSlices:
     def test_contiguous_assignment(self):
         s = make_slices(6, 2)
@@ -165,6 +182,28 @@ class TestSlices:
             make_slices(7, 2)
         with pytest.raises(IndivisibleRunsError):
             make_slices(6, 1)
+
+    @pytest.mark.parametrize("n,t", [(6.0, 2), (6, 2.0), (6, True), ("6", 2)])
+    def test_non_integer_counts_are_a_typed_error(self, n, t):
+        with pytest.raises(InvalidDimensionError, match="must be an integer"):
+            make_slices(n, t)
+
+    def test_numpy_integer_counts(self):
+        s = make_slices(np.int64(6), np.int64(2))
+        assert type(s.m) is int and s.m == 3
+
+    def test_slice_validity_takes_any_design_input(self):
+        s = make_slices(4, 2)
+        assert is_slice_valid([[1, 2], [3, 4], [2, 1], [4, 3]], s)
+        assert not is_slice_valid([[1, 2], [3, 4], [2, 1]], s)  # 3 runs, not 4
+        with pytest.raises(InvalidDimensionError):
+            is_slice_valid(np.array([1, 3, 2, 4]), s)
+        with pytest.raises(InvalidDesignError):
+            is_slice_valid([[1.5, 2], [3, 4], [2, 1], [4, 3]], s)
+
+    def test_slice_validity_with_uneven_assignment(self):
+        uneven = SliceStructure(t=2, m=2, assignment=np.array([1, 1, 1, 2]))
+        assert not is_slice_valid(np.array([[1], [2], [3], [4]]), uneven)
 
     def test_slice_validity_check(self):
         s = make_slices(4, 2)

@@ -107,6 +107,23 @@ class TestCommonContract:
             OptimizerConfig(algorithm="lapso", max_evaluations=10, seed=RngStream(0),
                             swarm=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("moves_per_temp", 2.5), ("population", 6.0), ("swarm", 2.5), ("same_num_p", 1.5),
+        ("same_num_g", True), ("max_evaluations", True), ("max_evaluations", 10.0),
+        ("alpha", "x"), ("alpha", True), ("t0", "x"), ("pmut", "x"), ("weight", "x"),
+    ])
+    def test_non_integer_or_non_numeric_fields_are_typed_errors(self, field, value):
+        kw = {"algorithm": "sa", "max_evaluations": 10, "seed": RngStream(0), field: value}
+        with pytest.raises(InvalidConfigError, match=f"{field} must be a"):
+            OptimizerConfig(**kw)
+
+    def test_numpy_integer_fields_become_ints(self):
+        config = OptimizerConfig(algorithm="ga", max_evaluations=np.int64(40), seed=RngStream(0),
+                                 population=np.int64(6), moves_per_temp=np.int32(3))
+        assert type(config.population) is int and type(config.max_evaluations) is int
+        echo = ga_search(5, 2, PHI, config).config_echo
+        assert type(echo["population"]) is int and type(echo["moves_per_temp"]) is int
+
     @pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf"), 0.0])
     def test_t0_must_be_positive_and_finite(self, t0):
         # with T = NaN every uphill move would be rejected: a silent greedy descent
