@@ -22,8 +22,11 @@ q=2), so ``phi_delta`` reads the pair terms from a weight table
 ``W[d] = (d_ref/d)^e`` (``phi_weights``, covering the distances up to 5/4
 of the largest live one) indexed by those integers instead of raising each
 distance to a power (``criteria._PhiState`` keeps the table).  With
-``d_ref`` near the smallest distance no p underflows; the evaluator is
-tested to agree with ``phi_stable`` to 1e-10 for 1 <= p <= 400.
+``d_ref`` near the smallest distance no p underflows.  ``phi_delta`` returns
+the change of one running pair sum and ``maxpro_delta`` the new value of
+another; both sums follow one drift policy (``criteria._PairSum``), and the
+evaluator is tested to agree with ``phi_stable`` to 1e-10 for
+1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.
 ``phi_sum`` is the plain sum of d^-p, which underflows at large p; nothing
 in the library calls it.
 """

@@ -17,7 +17,7 @@ criteria raise ``InvalidDesignError`` for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
-    UnsupportedExponentError,
+    as_exponents,
 )
 
 KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
@@ -39,19 +39,15 @@ KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
 # the (correlation, distance) kinds that "combo" combines, as sidecars record them
 COMBO_PARTS = ("avgsqcor", "phi_p")
 
-# commits between recomputations of the incremental maxpro pair sum, which
-# bounds its float drift from long accept streams well below the 1e-10 contract
-_REFRESH_EVERY = 4096
+# most commits between recomputations of a running pair sum from its exact
+# pair matrix (see _PairSum): in between, a commit rounds the sum by at most
+# about 240 eps of its value for n <= 1024, so 1024 commits stay below 6e-11
+_RESUM = 1024
 
-# most commits between recomputations of the phi_p pair sum from the exact
-# distances (see _PhiState): in between, a commit rounds by at most about
-# 240 eps of the sum for n <= 1024, so 1024 commits stay below 6e-11
-_PHI_RESUM = 1024
-
-# a phi_p proposal whose scaled pair sum falls below this fraction of the
-# committed one, or rises above _RANGE, is evaluated in full (see _PhiState);
+# a proposal whose running pair sum falls below this fraction of the
+# committed one, or rises above _RANGE, is evaluated in full (see _PairSum);
 # _RANGE must stay below the 2^900 cap of _kernels.phi_weights, so a capped
-# weight always takes the full path
+# phi_p weight always takes the full path
 _CANCEL = 2.0 ** -10
 _RANGE = 2.0 ** 256
 
@@ -80,10 +76,7 @@ class CriterionSpec:
             raise InvalidConfigError(
                 f"unknown criterion {self.kind!r}; expected one of {KINDS}"
             )
-        if isinstance(self.p, bool) or not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise InvalidConfigError(f"p must be a positive integer, got {self.p!r}")
-        if isinstance(self.q, bool) or self.q not in (1, 2):
-            raise UnsupportedExponentError(f"q must be 1 or 2, got {self.q!r}")
+        as_exponents(self.p, self.q)
         if self.kind == "combo":
             if self.weight is None or not 0.0 <= float(self.weight) <= 1.0:
                 raise InvalidWeightError(f"combo weight must be in [0,1], got {self.weight!r}")
@@ -102,6 +95,9 @@ class CriterionSpec:
         kw = dict(d)
         if kw.pop("combo_parts", COMBO_PARTS) not in (COMBO_PARTS, list(COMBO_PARTS)):
             raise InvalidConfigError("only the (avgsqcor, phi_p) combination is supported")
+        unknown = sorted(set(kw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfigError(f"unknown criterion field(s) {unknown}")
         return cls(**kw)
 
 
@@ -111,10 +107,7 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
     Computed with the smallest distance factored out, so large p cannot
     underflow the pair terms to zero.
     """
-    if isinstance(p, bool) or p < 1 or not float(p).is_integer():
-        raise InvalidConfigError(f"p must be a positive integer, got {p!r}")
-    if isinstance(q, bool) or q not in (1, 2):
-        raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
+    p, q = as_exponents(p, q)
     return float(_kernels.phi_stable(as_design(design), float(p), q))
 
 
@@ -279,14 +272,55 @@ def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
     return weighted_objective(design, spec)
 
 
-class _PhiState:
+class _PairSum:
+    """A running float sum ``s`` over the row pairs, under one drift policy.
+
+    A proposal whose new sum ``new`` is below ``_CANCEL`` of ``s``
+    (cancellation eats the relative precision), above ``_RANGE`` or ``NaN``
+    is evaluated in full.  A commit keeps ``new`` unless it is the
+    ``_RESUM``-th since the last recomputation, follows a full evaluation,
+    or falls below half the largest sum since then (or below ``floor``);
+    then ``s`` is recomputed from the exact pair matrix.  A commit's change
+    sums 4n terms, old and new, whose total is at most four times that
+    largest sum, so it rounds ``s`` by at most about 240 eps for n <= 1024.
+
+    A subclass supplies ``_step`` (the new sum), ``_value`` (the criterion
+    value of a sum), ``_full`` (the value of the swapped design, evaluated
+    in full), ``_update`` (the pair matrix after the swap) and ``_exact``.
+    """
+
+    floor = 0.0
+
+    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        self.new = self._step(X, col, i, j)
+        self.fast = _CANCEL * self.s <= self.new <= _RANGE
+        self.new_value = self._value(self.new) if self.fast else self._full(exchange(X, col, i, j))
+        return self.new_value
+
+    def commit(self, col: int, i: int, j: int) -> None:
+        """Apply the proposed swap of rows i, j to the pair matrix and ``s``."""
+        self._update(col, i, j)
+        self.since += 1
+        if self.fast and self.since < _RESUM and self.new >= max(self.peak / 2.0, self.floor):
+            self.s, self.peak = self.new, max(self.peak, self.new)
+            self.value = self.new_value
+        else:
+            self._resum()
+
+    def _resum(self) -> None:
+        self.s = self.peak = self._exact()
+        self.since = 0
+        self.value = self._value(self.s)
+
+
+class _PhiState(_PairSum):
     """phi_p state keyed by the exact integer pair distances.
 
     ``S`` holds every pair distance as an int64 (L1 for q=1, squared L2 for
     q=2).  The weight table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for
     q=2) factors out a reference distance ``d_ref`` as ``phi_stable`` does,
-    so no p underflows, and phi_p = T^(1/p) / d_ref^(1/q) for the scaled
-    pair sum ``T``, the sum of ``W`` over the distances.
+    so no p underflows, and phi_p = s^(1/p) / d_ref^(1/q) for the scaled
+    pair sum ``s``, the sum of ``W`` over the distances.
 
     The table covers the distances up to 5/4 of the largest one at the
     start, never past the largest that within-column swaps can reach (the
@@ -294,22 +328,16 @@ class _PhiState:
     ``NaN``.  A proposal that creates a longer distance reads that ``NaN``
     and is evaluated in full, and its commit extends the table.
 
-    A proposal adds ``phi_delta``'s gathered change to ``T``.  A result
-    below ``_CANCEL`` of the committed ``T`` (cancellation eats the relative
-    precision), above ``_RANGE`` (a distance far below ``d_ref``) or ``NaN``
-    is evaluated in full instead.  A commit adds the change to ``T``, which
-    is recomputed from ``S`` (an O(n^2) gather) every ``_PHI_RESUM``
-    commits, after a proposal evaluated in full, and when ``T`` falls below
-    half its largest value since the last recomputation.  In between, a
-    commit's change sums 4n terms, each pair's old and new weight, whose
-    total is at most four times that largest value; so a commit rounds
-    ``T`` by at most about 240 eps of its value for n <= 1024, and
-    ``_PHI_RESUM`` commits stay within 6e-11.  A recomputed ``T`` outside
-    [1/_RANGE, _RANGE] moves ``d_ref`` to the smallest distance and rebuilds
-    ``W``.  Designs that repeat a level in a column (not LHDs) can reach a
-    zero distance, which ``W[0]`` cannot weight, so their proposals are all
-    evaluated in full and a zero distance gives ``inf``.
+    A proposal adds ``phi_delta``'s gathered change to ``s``, which follows
+    the drift policy of ``_PairSum`` with the floor 1/_RANGE.  A recomputed
+    ``s`` outside [1/_RANGE, _RANGE] moves ``d_ref`` to the smallest
+    distance and rebuilds ``W``.  Designs that repeat a level in a column
+    (not LHDs) can reach a zero distance, which ``W[0]`` cannot weight, so
+    their new sums are ``NaN``, every proposal is evaluated in full and a
+    zero distance gives ``inf``.
     """
+
+    floor = 1.0 / _RANGE
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n = X.shape[0]
@@ -320,69 +348,57 @@ class _PhiState:
         self.pairs = _kernels.pair_indices(n)
         self.reach = int((np.ptp(X, axis=0) ** self.q).sum())
         self.repeats_levels = bool((np.diff(np.sort(X, axis=0), axis=0) == 0).any())
-        self._fit(int(self.S.max()))
+        self.size = 0
+        self._resum()
 
-    def _fit(self, top: int) -> None:
-        """Size ``W`` to 5/4 of the distances up to ``top`` and rebuild it."""
-        self.size = min(top + top // 4, self.reach) + 1
-        self._rescale()
-
-    def _rescale(self) -> None:
-        """Move ``d_ref`` to the smallest positive distance and rebuild ``W``
-        and ``T``, which is then at least 1 (0 if no distance is positive)."""
+    def _rescale(self) -> float:
+        """Move ``d_ref`` to the smallest positive distance, rebuild ``W`` and
+        return ``s`` over it, which is at least 1 (0 if no distance is positive)."""
         d = self.S[self.pairs]
         positive = d[d > 0]
         dref = int(positive.min()) if positive.size else 1
         self.W = _kernels.phi_weights(self.size + 1, dref, self.e)
         self.W[-1] = math.nan
         self.root = dref if self.q == 1 else math.sqrt(dref)
-        self._sum()
+        return float(self.W.take(self.S).sum()) / 2.0  # S holds each pair twice
 
-    def _sum(self) -> None:
-        """Recompute ``T`` from ``S``, which holds each pair twice."""
-        self.T = self.peak = float(self.W.take(self.S).sum()) / 2.0
-        self.since = 0
+    def _exact(self) -> float:
+        """``s`` from ``S``, rescaled when it leaves [1/_RANGE, _RANGE]; a
+        distance past the end of ``W`` first sizes ``W`` to 5/4 of it."""
+        top = int(self.S.max())
+        if top >= self.size:
+            self.size = min(top + top // 4, self.reach) + 1
+            return self._rescale()
+        s = float(self.W.take(self.S).sum()) / 2.0
+        return s if self.floor <= s <= _RANGE else self._rescale()
+
+    def _value(self, s: float) -> float:
         if self.repeats_levels and (self.S[self.pairs] == 0).any():
-            self.value = math.inf
-        else:
-            self.value = self.T ** (1.0 / self.p) / self.root
+            return math.inf
+        return s ** (1.0 / self.p) / self.root
 
-    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        self.dT, self.new = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
-        T = self.T + self.dT
-        self.fast = _CANCEL * self.T <= T <= _RANGE and not self.repeats_levels
-        if self.fast:
-            return T ** (1.0 / self.p) / self.root
-        Y = X.copy()
-        Y[[i, j], col] = Y[[j, i], col]
+    def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        dT, self.rows = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
+        return math.nan if self.repeats_levels else self.s + dT
+
+    def _full(self, Y: np.ndarray) -> float:
         return float(_kernels.phi_stable(Y, self.p, self.q))
 
-    def commit(self, col: int, i: int, j: int) -> None:
-        """Apply the proposed swap of rows i, j to ``S`` and ``T``."""
-        S, new = self.S, self.new
-        S[i] = S[:, i] = new[0]
-        S[j] = S[:, j] = new[1]
-        T = self.T + self.dT
-        self.since += 1
-        if math.isnan(self.dT):
-            self._fit(int(new.max()))
-        elif self.fast and self.since < _PHI_RESUM and T >= max(self.peak / 2.0, 1.0 / _RANGE):
-            self.T, self.peak = T, max(self.peak, T)
-            self.value = T ** (1.0 / self.p) / self.root
-        else:
-            self._sum()
-            if not 1.0 / _RANGE <= self.T <= _RANGE:
-                self._rescale()
+    def _update(self, col: int, i: int, j: int) -> None:
+        S, rows = self.S, self.rows
+        S[i] = S[:, i] = rows[0]
+        S[j] = S[:, j] = rows[1]
 
 
 class _CorrState:
     """Correlation state (avgcor, maxcor, the avgsqcor term of combo): the
-    doubled-centered levels ``Z`` and the integer pair Gram vector ``g``.
+    integer Gram vector ``g`` of the column pairs' doubled-centered levels.
 
     A swap in column ``col`` changes only the k-1 entries of ``g`` at
     ``pos[col]``, which pair ``col`` with the columns ``partner[col]``, by
-    exact integers; a proposal updates those in a copy of ``g`` and computes
-    the one statistic the criterion reads (0.0 when k < 2).
+    exact integers read off the design's levels x (z = 2x - (n+1)); a
+    proposal updates those in a copy of ``g`` and computes the one
+    statistic the criterion reads (0.0 when k < 2).
     """
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
@@ -390,8 +406,7 @@ class _CorrState:
         if k < 2 and spec.kind != "combo":
             raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
         a, b = _kernels.pair_indices(k)
-        self.Z = _doubled_centered(X)
-        self.g = _pair_gram(self.Z)
+        self.g = _pair_gram(_doubled_centered(X))
         self.pos = [np.flatnonzero((a == c) | (b == c)) for c in range(k)]
         self.partner = [a[p] + b[p] - c for c, p in enumerate(self.pos)]
         stat_of = _COR_STATS["avgsqcor" if spec.kind == "combo" else spec.kind]
@@ -400,55 +415,48 @@ class _CorrState:
         self.value = self.stat(self.g)
 
     def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        zi, zj = self.Z[i], self.Z[j]
+        xi, xj = X[i], X[j]
         g = self.g.copy()
-        g[self.pos[col]] += (zj[col] - zi[col]) * (zi - zj)[self.partner[col]]
+        g[self.pos[col]] += 4 * (xj[col] - xi[col]) * (xi - xj)[self.partner[col]]
         self.new, self.new_value = g, self.stat(g)
         return self.new_value
 
     def commit(self, col: int, i: int, j: int) -> None:
-        Z = self.Z
-        Z[i, col], Z[j, col] = Z[j, col], Z[i, col]
         self.g, self.value = self.new, self.new_value
 
 
-class _MaxproState:
+class _MaxproState(_PairSum):
     """maxpro state: a k x n float64 transposed copy ``XT`` of the design,
-    its pair gap products ``P`` and the running pair sum ``s``.  A commit
-    recomputes rows and columns i, j of ``P`` from ``XT``, so ``P`` never
-    drifts; ``s`` is recomputed from ``P`` every ``_REFRESH_EVERY`` commits."""
+    its pair gap products ``P`` and the pair sum ``s`` of their reciprocals,
+    under the drift policy of ``_PairSum``.  A commit recomputes rows and
+    columns i, j of ``P`` from ``XT``, so ``P`` never drifts.  ``s`` takes
+    no floor: it is about 1e-86 at 300 x 30 and 1e-167 at 500 x 50, so a
+    floor of 1/_RANGE would recompute it on every commit."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         self.npairs, self.k = n * (n - 1) // 2, k
         self.XT = X.T.astype(np.float64)
         self.P = _kernels.pair_matrix(_kernels.pair_gap_products(self.XT), n)
-        self._refresh()
-        self.commits = 0
+        self._resum()
 
-    def _refresh(self) -> None:
-        """Recompute the pair sum, the one running float total, from ``P``."""
+    def _exact(self) -> float:
         n = len(self.P)
-        s = _kernels.reciprocal_sum(self.P[_kernels.pair_indices(n)])
-        self.s = _maxpro_total(s, n, self.k)
-        self.value = self._psi(self.s)
+        return _maxpro_total(_kernels.reciprocal_sum(self.P[_kernels.pair_indices(n)]), n, self.k)
 
-    def _psi(self, s: float) -> float:
+    def _value(self, s: float) -> float:
         return (s / self.npairs) ** (1.0 / self.k)
 
-    def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        self.new = _kernels.maxpro_delta(self.P, self.XT[col], i, j, self.s)
-        return self._psi(self.new)
+    def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
+        return _kernels.maxpro_delta(self.P, self.XT[col], i, j, self.s)
 
-    def commit(self, col: int, i: int, j: int) -> None:
+    _full = staticmethod(maxpro_psi)
+
+    def _update(self, col: int, i: int, j: int) -> None:
         XT, P = self.XT, self.P
         XT[col, i], XT[col, j] = XT[col, j], XT[col, i]
         P[i], P[j] = _kernels.gap_products(XT.take((i, j), axis=1), XT)
         P[:, i], P[:, j] = P[i], P[j]
-        self.s, self.value = self.new, self._psi(self.new)
-        self.commits += 1
-        if self.commits % _REFRESH_EVERY == 0:
-            self._refresh()
 
 
 class _ComboState:

@@ -20,7 +20,7 @@ from .errors import (
     InvalidDesignError,
     InvalidDimensionError,
     LhdError,
-    UnsupportedExponentError,
+    as_exponents,
     as_int,
 )
 from .rng import Draws, RngStream, as_draws, permutation
@@ -106,8 +106,7 @@ def distance_matrix(design: np.ndarray, q: int = 1) -> np.ndarray:
     q=1 is the rectangular metric, q=2 Euclidean; other exponents are
     rejected.
     """
-    if q not in (1, 2):
-        raise UnsupportedExponentError(f"distance exponent must be 1 or 2, got {q}")
+    _, q = as_exponents(1, q)  # p does not enter a distance
     return _kernels.dist_matrix(as_design(design), q)
 
 
@@ -165,6 +164,11 @@ class SliceStructure:
     t: int
     m: int
     assignment: np.ndarray
+
+    def __post_init__(self):
+        t, m = as_int(self.t, "t", InvalidDimensionError), as_int(self.m, "m", InvalidDimensionError)
+        if not np.array_equal(np.sort(self.assignment), np.repeat(np.arange(1, t + 1), m)):
+            raise IndivisibleRunsError(f"assignment must give each of the slices 1..{t} exactly {m} rows")
 
     @property
     def n(self) -> int:

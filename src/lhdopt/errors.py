@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`LhdError`, so callers
 can catch one type at the boundary (the CLI maps them to exit codes).
-``as_int`` is the one check of an integer argument.
+``as_int`` is the one check of an integer argument, and ``as_exponents``
+the one check of the phi_p and distance exponents built on it.
 """
 
 import numbers
@@ -74,3 +75,15 @@ def as_int(value, name: str, error: type[LhdError] = InvalidConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_exponents(p, q) -> tuple[int, int]:
+    """(p, q) as ints: the phi_p exponent p >= 1 and the distance exponent q,
+    1 or 2.  Neither may be a bool or a float."""
+    p = as_int(p, "p")
+    if p < 1:
+        raise InvalidConfigError(f"p must be a positive integer, got {p!r}")
+    q = as_int(q, "q", UnsupportedExponentError)
+    if q not in (1, 2):
+        raise UnsupportedExponentError(f"q must be 1 or 2, got {q!r}")
+    return p, q

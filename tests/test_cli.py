@@ -233,6 +233,12 @@ class TestSearch:
         assert np.array_equal(replayed.best, result.best)
         assert replayed.value == result.value
 
+    def test_edited_echo_with_an_unknown_criterion_field_is_typed(self):
+        echo = LIBRARY_RUNS["sa-random-t0"]().config_echo
+        echo = {**echo, "criterion": {**echo["criterion"], "foo": 1}}
+        with pytest.raises(InvalidConfigError, match="foo"):
+            search_from_echo(echo)
+
     def test_library_oasa_echo_has_no_array(self):
         result = oasa_search(good_oa_catalog("OA(9,4,3,2)"), CriterionSpec("phi_p"),
                              _cfg("oasa", 200))

@@ -89,6 +89,21 @@ class TestPhiP:
         with pytest.raises(UnsupportedExponentError):
             phi_p(np.array([[1], [2]]), q=True)
 
+    @pytest.mark.parametrize("p, q, error", [(2.0, 1, InvalidConfigError),
+                                             (np.float64(15), 1, InvalidConfigError),
+                                             (15, 2.0, UnsupportedExponentError)])
+    def test_float_exponents_rejected(self, p, q, error):
+        # one check of (p, q) for the spec and phi_p: a float is refused, not truncated
+        with pytest.raises(error):
+            CriterionSpec("phi_p", p=p, q=q)
+        with pytest.raises(error):
+            phi_p(np.array([[1, 2], [2, 1]]), p, q)
+
+    def test_numpy_integer_exponents(self):
+        X = np.array([[1, 2], [2, 1], [3, 3]])
+        assert phi_p(X, np.int64(15), np.int32(2)) == phi_p(X, 15, 2)
+        assert CriterionSpec("phi_p", p=np.int64(15), q=np.int32(2)).to_dict()["q"] == 2
+
     @pytest.mark.parametrize("q", [1, 2])
     def test_equal_rows_are_infinite(self, q):
         spec = CriterionSpec("phi_p", q=q)
@@ -304,6 +319,10 @@ class TestWeightedObjective:
                 CriterionSpec.from_dict({**d, "combo_parts": parts})
         with pytest.raises(TypeError):
             CriterionSpec("combo", weight=0.5, combo_parts=("avgsqcor", "phi_p"))
+
+    def test_unknown_dict_field_is_named(self):
+        with pytest.raises(InvalidConfigError, match=r"unknown criterion field\(s\) \['foo'\]"):
+            CriterionSpec.from_dict({"kind": "phi_p", "foo": 1})
 
     def test_invalid_weight(self):
         with pytest.raises(InvalidWeightError):

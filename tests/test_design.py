@@ -116,8 +116,10 @@ class TestDistanceMatrix:
         assert (D[0, 1], D[0, 2], D[1, 2]) == (2.0, 3.0, 3.0)
 
     def test_unsupported_exponent(self):
-        with pytest.raises(UnsupportedExponentError):
-            distance_matrix(np.array([[1], [2]]), q=3)
+        # q=True would read as q=1, and 2.0 is refused as CriterionSpec refuses it
+        for q in (3, 0, True, 2.0, "2"):
+            with pytest.raises(UnsupportedExponentError):
+                distance_matrix(np.array([[1], [2]]), q=q)
 
     def test_non_integral_levels_are_a_typed_error(self):
         # truncated to [[1, 2], [2, 1], [3, 3]], d_02 would read 3 where it is 2.5
@@ -202,8 +204,15 @@ class TestSlices:
             is_slice_valid([[1.5, 2], [3, 4], [2, 1], [4, 3]], s)
 
     def test_slice_validity_with_uneven_assignment(self):
-        uneven = SliceStructure(t=2, m=2, assignment=np.array([1, 1, 1, 2]))
-        assert not is_slice_valid(np.array([[1], [2], [3], [4]]), uneven)
+        # a slice structure checks itself, so no search meets an uneven one
+        with pytest.raises(IndivisibleRunsError, match="exactly 2 rows"):
+            SliceStructure(t=2, m=2, assignment=np.array([1, 1, 1, 2]))
+
+    @pytest.mark.parametrize("assignment", [[1, 2, 1], [1, 2, 1, 2, 1], [0, 1, 2, 2], [1, 2, 3, 3]])
+    def test_assignment_gives_each_slice_m_rows(self, assignment):
+        with pytest.raises(IndivisibleRunsError):
+            SliceStructure(t=2, m=2, assignment=np.array(assignment))
+        assert SliceStructure(t=2, m=2, assignment=np.array([2, 1, 1, 2])).n == 4
 
     def test_slice_validity_check(self):
         s = make_slices(4, 2)

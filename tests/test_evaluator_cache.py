@@ -2,9 +2,11 @@
 
 A stream of proposals, some committed and some not (including the no-op
 swap i == j), must leave the cached pair distances, transposed design, gap
-products, centered levels and pair Gram vector exactly equal to those of a
-fresh evaluator on the same design, and every proposal must agree with
-full evaluation, over phi_p exponents 1..400 and both distances.
+products and pair Gram vector exactly equal to those of a fresh evaluator
+on the same design, and every proposal must agree with full evaluation,
+over phi_p exponents 1..400 and both distances.  The running pair sums of
+phi_p and maxpro must stay within 1e-10 of their full values, also when
+a swap cancels most of the sum.
 """
 
 from operator import attrgetter
@@ -15,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhdopt import CriterionSpec, exchange
-from lhdopt.criteria import _PHI_RESUM, KINDS, Evaluator, evaluate
+from lhdopt.criteria import _RESUM, KINDS, Evaluator, evaluate
 
 CACHES = {
     "phi_p": ("state.S",),
     "maxpro": ("state.XT", "state.P"),
-    "avgcor": ("state.Z", "state.g"),
-    "maxcor": ("state.Z", "state.g"),
-    "combo": ("state.phi.S", "state.corr.Z", "state.corr.g"),
+    "avgcor": ("state.g",),
+    "maxcor": ("state.g",),
+    "combo": ("state.phi.S", "state.corr.g"),
 }
 
 
@@ -70,8 +72,8 @@ def assert_matches_fresh(ev):
     pytest.param(CriterionSpec("maxpro"), 20, 5, id="maxpro-p15-q1"),
 ])
 def test_long_accept_stream(spec, n, k):
-    # more commits than the maxpro refresh interval and four phi_p sum
-    # recomputation intervals, every proposal checked
+    # more commits than four recomputation intervals of the running pair
+    # sums of phi_p and maxpro, every proposal checked
     gen = np.random.default_rng(4242)
     X = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
     ev = Evaluator(X, spec)
@@ -87,13 +89,11 @@ def test_long_accept_stream(spec, n, k):
     assert_matches_fresh(ev)
 
 
-def test_reference_distance_follows_a_growing_minimum():
-    # q=2, p=400: rows 0 and 1 start one level apart in every column (squared
-    # distance 6) and the target's smallest squared distance is 470, so
-    # (6/470)^200 underflows; the commits must move d_ref to keep the live
-    # weights in range
-    gen = np.random.default_rng(4)
-    n, k = 100, 6
+def undo_one_level_gaps(spec, seed, n, k):
+    # rows 0 and 1 of a random LHD are brought one level apart in every
+    # column, and the evaluator undoes those swaps one by one, every
+    # proposal checked against full evaluation
+    gen = np.random.default_rng(seed)
     target = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
     X, moves = target.copy(), []
     for col in range(k):
@@ -101,7 +101,6 @@ def test_reference_distance_follows_a_growing_minimum():
         r = int(np.flatnonzero(X[:, col] == level)[0])
         X = exchange(X, col, 1, r)
         moves.append((col, 1, r))
-    spec = CriterionSpec("phi_p", p=400, q=2)
     ev = Evaluator(X, spec)
     for col, i, j in reversed(moves):
         want = evaluate(exchange(ev.X, col, i, j), spec)
@@ -111,28 +110,50 @@ def test_reference_distance_follows_a_growing_minimum():
     assert_matches_fresh(ev)
 
 
-@pytest.mark.parametrize("p", [1, 15])
-def test_running_sum_matches_its_recomputation(p):
-    # commits add the gathered change to the phi_p pair sum; at every step it
-    # must match the sum recomputed from the exact distances, and the
-    # recomputation must come at least every _PHI_RESUM commits (at p=1 the
+def test_reference_distance_follows_a_growing_minimum():
+    # q=2, p=400: rows 0 and 1 start at squared distance 6 and the target's
+    # smallest squared distance is 470, so (6/470)^200 underflows; the
+    # commits must move d_ref to keep the live weights in range
+    undo_one_level_gaps(CriterionSpec("phi_p", p=400, q=2), 4, 100, 6)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize("n, k", [(60, 8), (100, 10), (100, 12), (60, 12)])
+def test_maxpro_sum_follows_a_falling_maximum(seed, n, k):
+    # the pair of rows one level apart dominates the maxpro sum, so each undo
+    # cancels most of it; the running sum must not keep the rounding of the
+    # large terms it lost (or fall below zero, which makes psi complex)
+    undo_one_level_gaps(CriterionSpec("maxpro"), seed, n, k)
+
+
+@pytest.mark.parametrize("spec", [CriterionSpec("phi_p", p=1, q=2),
+                                  CriterionSpec("phi_p", p=15, q=2),
+                                  CriterionSpec("maxpro")], ids=["1", "15", "maxpro"])
+def test_running_sum_matches_its_recomputation(spec):
+    # commits add the gathered change to the running pair sum; at every step
+    # it must match the sum recomputed from the exact pair matrix, and the
+    # recomputation must come at least every _RESUM commits (at p=1 the phi_p
     # sum never halves, so only that bound triggers it)
     gen = np.random.default_rng(7)
     n, k = 30, 5
     X = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
-    ev = Evaluator(X, CriterionSpec("phi_p", p=p, q=2))
+    ev = Evaluator(X, spec)
     state = ev.state
+    pairs = np.triu_indices(n, k=1)
     longest = 0
-    for _ in range(2 * _PHI_RESUM + 100):
+    for _ in range(2 * _RESUM + 100):
         col, i, j = int(gen.integers(k)), int(gen.integers(n)), int(gen.integers(n))
         ev.propose(col, i, j)
         ev.commit(col, i, j)
         longest = max(longest, state.since)
-        exact = float(state.W.take(state.S).sum()) / 2.0
-        assert state.T == pytest.approx(exact, rel=1e-12)
-    assert 1 < longest < _PHI_RESUM
-    if p == 1:
-        assert longest == _PHI_RESUM - 1
+        if spec.kind == "maxpro":
+            exact = float((1.0 / state.P[pairs]).sum())
+        else:
+            exact = float(state.W.take(state.S).sum()) / 2.0
+        assert state.s == pytest.approx(exact, rel=1e-12)
+    assert 1 < longest < _RESUM
+    if spec.kind == "phi_p" and spec.p == 1:
+        assert longest == _RESUM - 1
     assert_matches_fresh(ev)
 
 
