@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -141,17 +142,13 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> tuple[list[dict], li
     rows.sort(key=lambda r: (r["algorithm"], r["n"], r["k"], r["rep"]))
 
     summary = []
-    for alg in sorted(set(r["algorithm"] for r in rows)):
-        for (n, k) in sorted(set((r["n"], r["k"]) for r in rows)):
-            vals = [r["value"] for r in rows if (r["algorithm"], r["n"], r["k"]) == (alg, n, k)]
-            if not vals:
-                continue
-            arr = np.array(vals, dtype=np.float64)
-            sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-            summary.append({
-                "algorithm": alg, "n": n, "k": k,
-                "mean": float(arr.mean()), "sd": sd, "best": float(arr.min()),
-            })
+    for (alg, n, k), group in groupby(rows, key=lambda r: (r["algorithm"], r["n"], r["k"])):
+        arr = np.array([r["value"] for r in group], dtype=np.float64)
+        sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+        summary.append({
+            "algorithm": alg, "n": n, "k": k,
+            "mean": float(arr.mean()), "sd": sd, "best": float(arr.min()),
+        })
     return rows, summary
 
 

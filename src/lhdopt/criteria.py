@@ -3,8 +3,8 @@
 All criteria are pure functions of the design; smaller is always better.
 ``CriterionSpec`` names a criterion plus its parameters and is the object
 optimizers, the CLI, and the benchmark harness pass around.  ``Evaluator``
-provides O(n)-per-move incremental re-evaluation for within-column swaps and
-must agree with full evaluation to 1e-10 relative (property-tested).
+provides O(n)-per-move incremental re-evaluation for within-column swaps of
+an LHD and must agree with full evaluation to 1e-10 relative (property-tested).
 
 Correlation arithmetic is exact: columns of an LHD share mean (n+1)/2 and
 variance, so Pearson numerators are computed on the doubled-centered integer
@@ -137,13 +137,19 @@ def _maxpro_total(s: float, n: int, k: int) -> float:
     return s
 
 
+def _lhd(X: np.ndarray) -> np.ndarray:
+    """``X``, whose every column must be a permutation of 1..n: the
+    correlation arithmetic and the ``Evaluator`` need an LHD."""
+    n = X.shape[0]
+    if not rearranged_columns(X, np.arange(1, n + 1)).all():
+        raise InvalidDesignError(f"need an LHD: every column a permutation of 1..{n}")
+    return X
+
+
 def _doubled_centered(X: np.ndarray) -> np.ndarray:
     """The levels z = 2x - (n+1) of the correlation arithmetic, which needs
     every column of X to be a permutation of 1..n; any other levels raise."""
-    n = X.shape[0]
-    if not rearranged_columns(X, np.arange(1, n + 1)).all():
-        raise InvalidDesignError(f"correlations need every column to be a permutation of 1..{n}")
-    return 2 * X - (n + 1)
+    return 2 * _lhd(X) - (X.shape[0] + 1)
 
 
 def _level_ss(n: int) -> float:
@@ -323,40 +329,33 @@ class _PhiState(_PairSum):
     pair sum ``s``, the sum of ``W`` over the distances.
 
     The table covers the distances up to 5/4 of the largest one at the
-    start, never past the largest that within-column swaps can reach (the
-    sum over columns of range^q, k(n-1)^q for an LHD), and ends in a
+    start, never past k(n-1)^q, the largest an LHD has, and ends in a
     ``NaN``.  A proposal that creates a longer distance reads that ``NaN``
     and is evaluated in full, and its commit extends the table.
 
     A proposal adds ``phi_delta``'s gathered change to ``s``, which follows
     the drift policy of ``_PairSum`` with the floor 1/_RANGE.  A recomputed
     ``s`` outside [1/_RANGE, _RANGE] moves ``d_ref`` to the smallest
-    distance and rebuilds ``W``.  Designs that repeat a level in a column
-    (not LHDs) can reach a zero distance, which ``W[0]`` cannot weight, so
-    their new sums are ``NaN``, every proposal is evaluated in full and a
-    zero distance gives ``inf``.
+    distance, which is positive in an LHD, and rebuilds ``W``.
     """
 
     floor = 1.0 / _RANGE
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
-        n = X.shape[0]
+        n, k = X.shape
         self.q = int(spec.q)
         self.p = float(spec.p)
         self.e = self.p if self.q == 1 else self.p / 2.0
         self.S = _kernels.gap_power_sums(X, self.q)
         self.pairs = _kernels.pair_indices(n)
-        self.reach = int((np.ptp(X, axis=0) ** self.q).sum())
-        self.repeats_levels = bool((np.diff(np.sort(X, axis=0), axis=0) == 0).any())
+        self.reach = k * (n - 1) ** self.q
         self.size = 0
         self._resum()
 
     def _rescale(self) -> float:
-        """Move ``d_ref`` to the smallest positive distance, rebuild ``W`` and
-        return ``s`` over it, which is at least 1 (0 if no distance is positive)."""
-        d = self.S[self.pairs]
-        positive = d[d > 0]
-        dref = int(positive.min()) if positive.size else 1
+        """Move ``d_ref`` to the smallest distance, rebuild ``W`` and return
+        ``s`` over it, which is at least 1."""
+        dref = int(self.S[self.pairs].min())
         self.W = _kernels.phi_weights(self.size + 1, dref, self.e)
         self.W[-1] = math.nan
         self.root = dref if self.q == 1 else math.sqrt(dref)
@@ -373,13 +372,11 @@ class _PhiState(_PairSum):
         return s if self.floor <= s <= _RANGE else self._rescale()
 
     def _value(self, s: float) -> float:
-        if self.repeats_levels and (self.S[self.pairs] == 0).any():
-            return math.inf
         return s ** (1.0 / self.p) / self.root
 
     def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
         dT, self.rows = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
-        return math.nan if self.repeats_levels else self.s + dT
+        return self.s + dT
 
     def _full(self, Y: np.ndarray) -> float:
         return float(_kernels.phi_stable(Y, self.p, self.q))
@@ -406,7 +403,7 @@ class _CorrState:
         if k < 2 and spec.kind != "combo":
             raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
         a, b = _kernels.pair_indices(k)
-        self.g = _pair_gram(_doubled_centered(X))
+        self.g = _pair_gram(2 * X - (n + 1))  # X is an LHD: Evaluator checked it
         self.pos = [np.flatnonzero((a == c) | (b == c)) for c in range(k)]
         self.partner = [a[p] + b[p] - c for c, p in enumerate(self.pos)]
         stat_of = _COR_STATS["avgsqcor" if spec.kind == "combo" else spec.kind]
@@ -492,8 +489,10 @@ _STATES = {"phi_p": _PhiState, "maxpro": _MaxproState, "combo": _ComboState}
 
 
 class Evaluator:
-    """Incremental criterion evaluation under within-column swaps.
+    """Incremental criterion evaluation under within-column swaps of an LHD.
 
+    The design must have every column a permutation of 1..n, as every
+    design a search visits has; any other raises ``InvalidDesignError``.
     Holds a private copy ``X`` of the design and the criterion's ``state``
     (``_PhiState``, ``_MaxproState``, ``_CorrState`` or ``_ComboState``),
     which owns ``propose``, ``commit`` and ``value``.  ``propose(col, i, j)``
@@ -503,7 +502,7 @@ class Evaluator:
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.X = as_design(design).copy()
+        self.X = _lhd(as_design(design)).copy()
         self.n, self.k = self.X.shape
         self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
         self.spec = getattr(self.state, "spec", spec)
@@ -533,11 +532,9 @@ class Evaluator:
 def delta_after_exchange(
     design: np.ndarray, spec: CriterionSpec, column: int, i: int, j: int
 ) -> float:
-    """Criterion value of ``exchange(design, column, i, j)`` via incremental
-    update of the affected pair terms only (a within-column swap touches
-    2(n-2)+1 pair distances).  Agrees with full evaluation to 1e-10 relative:
-    a combo spec without U takes the exchanged design's phi_p, as
-    :func:`evaluate` does.
+    """Criterion value of ``exchange(design, column, i, j)``, evaluated in
+    full; a combo spec without U takes the exchanged design's phi_p.  A
+    search that proposes many swaps of one LHD uses :class:`Evaluator`,
+    whose ``propose`` updates only the pairs the swap touches.
     """
-    spec = pin_upper(spec, exchange(design, column, i, j))
-    return Evaluator(design, spec).propose(column, i, j)
+    return evaluate(exchange(design, column, i, j), spec)

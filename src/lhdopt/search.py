@@ -172,11 +172,18 @@ def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra)
     return d
 
 
-class _Budget:
-    """Evaluation counter with best-so-far trace."""
+class _Run:
+    """One search run: its draws, its evaluation budget with the best-so-far
+    trace, and its clock.  ``result`` builds the run's ``SearchResult``.
+    Sliced stage 1 runs each slice on a sub-run of ``limit`` evaluations that
+    shares the parent's ``draws``."""
 
-    def __init__(self, limit: int):
-        self.limit = int(limit)
+    def __init__(self, config: OptimizerConfig, limit: int | None = None,
+                 draws: Draws | None = None):
+        self.started = time.perf_counter()
+        self.config = config
+        self.draws = config.seed.draws() if draws is None else draws
+        self.limit = config.max_evaluations if limit is None else int(limit)
         self.used = 0
         self.best_value = math.inf
         self.best: np.ndarray | None = None
@@ -192,24 +199,19 @@ class _Budget:
             self.best = np.array(design, dtype=np.int64)
             self.trace.append((self.used, value))
 
-    def finish(self) -> None:
+    def result(self, echo: dict, extras: dict | None = None) -> SearchResult:
         if not self.trace or self.trace[-1] != (self.used, self.best_value):
             self.trace.append((self.used, self.best_value))
-
-
-def _result(budget: _Budget, started: float, echo: dict, extras: dict | None = None) -> SearchResult:
-    budget.finish()
-    best = budget.best
-    best.setflags(write=False)
-    return SearchResult(
-        best=best,
-        value=budget.best_value,
-        evaluations_used=budget.used,
-        trace=budget.trace,
-        elapsed=time.perf_counter() - started,
-        config_echo=echo,
-        extras=extras or {},
-    )
+        self.best.setflags(write=False)
+        return SearchResult(
+            best=self.best,
+            value=self.best_value,
+            evaluations_used=self.used,
+            trace=self.trace,
+            elapsed=time.perf_counter() - self.started,
+            config_echo=echo,
+            extras=extras or {},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +219,9 @@ def _result(budget: _Budget, started: float, echo: dict, extras: dict | None = N
 # ---------------------------------------------------------------------------
 
 
-def _sa_loop(ev: Evaluator, draws: Draws, config: OptimizerConfig,
-             budget: _Budget, propose, inspect: Inspect = None,
+def _sa_loop(ev: Evaluator, run: _Run, propose, inspect: Inspect = None,
              on_commit=None) -> None:
-    """Anneal until the budget runs out.
+    """Anneal until the run's budget runs out.
 
     Per move: the column cycles 0..k-1 (or is a uniform draw when
     ``column_mode='random'``) and ``propose(col)`` picks the rows (i, j) to
@@ -230,13 +231,14 @@ def _sa_loop(ev: Evaluator, draws: Draws, config: OptimizerConfig,
     moves.  ``on_commit(col, i, j)`` runs after each accepted swap is applied
     to ``ev``.
     """
+    draws, config = run.draws, run.config
     cur = ev.value()
     t = config.t0 if config.t0 is not None else 0.1 * cur
     k = ev.k
     mpt = config.moves_per_temp if config.moves_per_temp is not None else 10 * k
     cycle = config.column_mode == "cycle"
     move = 0
-    while not budget.exhausted():
+    while not run.exhausted():
         col = move % k if cycle else draws.below(k)
         i, j = propose(col)
         if inspect is not None:
@@ -253,18 +255,18 @@ def _sa_loop(ev: Evaluator, draws: Draws, config: OptimizerConfig,
             cur = cand
             if on_commit is not None:
                 on_commit(col, i, j)
-        budget.record(cand if accept else math.inf, ev.X)
+        run.record(cand if accept else math.inf, ev.X)
         move += 1
         if move % mpt == 0:
             t *= config.alpha
 
 
-def _init_sa(design: np.ndarray, spec: CriterionSpec, budget: _Budget,
+def _init_sa(design: np.ndarray, spec: CriterionSpec, run: _Run,
              inspect: Inspect) -> Evaluator:
     if inspect is not None:
         inspect(np.asarray(design))
     ev = Evaluator(design, spec)
-    budget.record(ev.value(), ev.X)
+    run.record(ev.value(), ev.X)
     return ev
 
 
@@ -276,12 +278,10 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     ``column_mode='random'``); the two rows are uniform distinct draws.
     Returns the best design visited, not the final state.
     """
-    started = time.perf_counter()
-    draws = config.seed.draws()
-    budget = _Budget(config.max_evaluations)
-    ev = _init_sa(random_lhd(n, k, draws), spec, budget, inspect)
-    _sa_loop(ev, draws, config, budget, lambda col: two_distinct(draws, n), inspect)
-    return _result(budget, started, _echo(config, ev.spec, n, k))
+    run = _Run(config)
+    ev = _init_sa(random_lhd(n, k, run.draws), spec, run, inspect)
+    _sa_loop(ev, run, lambda col: two_distinct(run.draws, n), inspect)
+    return run.result(_echo(config, ev.spec, n, k))
 
 
 def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfig,
@@ -290,10 +290,9 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     and only swap positions that hold the same source symbol, so every
     visited design still collapses back to the array.
     """
-    started = time.perf_counter()
-    draws = config.seed.draws()
-    budget = _Budget(config.max_evaluations)
-    ev = _init_sa(oa_to_lhd(oa), spec, budget, inspect)
+    run = _Run(config)
+    draws = run.draws
+    ev = _init_sa(oa_to_lhd(oa), spec, run, inspect)
     n, k = oa.N, oa.K
     groups = [
         [np.nonzero(oa.cells[:, c] == m)[0] for m in range(1, oa.s + 1)]
@@ -309,9 +308,8 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
             j = int(grp[-1])
         return i, j
 
-    _sa_loop(ev, draws, config, budget, propose, inspect)
-    echo = _echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength])
-    return _result(budget, started, echo)
+    _sa_loop(ev, run, propose, inspect)
+    return run.result(_echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength]))
 
 
 def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
@@ -350,12 +348,11 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     against the one budget.  A ``combo`` upper proxy ``norm_upper`` is the
     n-run design's: stage 1 takes each slice's own from its collapsed start.
     """
-    started = time.perf_counter()
     t, m, n = slices.t, slices.m, slices.n
     if k < 1:
         raise InvalidConfigError(f"need k >= 1, got {k}")
-    draws = config.seed.draws()
-    budget = _Budget(config.max_evaluations)
+    run = _Run(config)
+    draws = run.draws
 
     # random slice-valid start: spread each bin's t values one per slice,
     # then arrange each slice's m values over its rows
@@ -385,14 +382,13 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
             if inspect is not None:
                 inspect(X.copy())
 
-        sub = _Budget(per_slice)
+        sub = _Run(config, per_slice, draws)
         collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub, None)
-        _sa_loop(collapsed, draws, config, sub, lambda col: two_distinct(draws, m),
-                 on_commit=apply_to_full)
-        budget.used += sub.used  # collapsed evals count, best is full-design only
+        _sa_loop(collapsed, sub, lambda col: two_distinct(draws, m), on_commit=apply_to_full)
+        run.used += sub.used  # collapsed evals count, best is full-design only
 
     # stage 2: same-bin cross-slice swaps on the assembled design
-    ev = _init_sa(X, spec, budget, inspect)
+    ev = _init_sa(X, spec, run, inspect)
     rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
     def propose(col: int):
@@ -404,10 +400,9 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         rowof[col][ev.X[i, col] - 1] = i
         rowof[col][ev.X[j, col] - 1] = j
 
-    _sa_loop(ev, draws, config, budget, propose, inspect, relink)
-
-    echo = _echo(config, ev.spec, n, k, slices={"t": t, "m": m})
-    return _result(budget, started, echo, {"stage1_evaluations": min(stage1_budget, budget.used)})
+    _sa_loop(ev, run, propose, inspect, relink)
+    return run.result(_echo(config, ev.spec, n, k, slices={"t": t, "m": m}),
+                      {"stage1_evaluations": min(stage1_budget, run.used)})
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +410,21 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 # ---------------------------------------------------------------------------
 
 
-def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, draws: Draws,
-                   budget: _Budget, inspect: Inspect) -> tuple[list, list, CriterionSpec]:
+def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, run: _Run,
+                   inspect: Inspect) -> tuple[list, list, CriterionSpec]:
     """Up to ``count`` random designs, their values and the spec they are of:
     a combo spec without U gets the first design's phi_p, as an annealer
     takes its start's.  A design is drawn before the budget is checked."""
     designs, vals = [], []
     for _ in range(count):
-        X = np.array(random_lhd(n, k, draws))
-        if budget.exhausted():
+        X = np.array(random_lhd(n, k, run.draws))
+        if run.exhausted():
             break
         if inspect is not None:
             inspect(X.copy())
         spec = crit.pin_upper(spec, X)
         v = crit.evaluate(X, spec)
-        budget.record(v, X)
+        run.record(v, X)
         designs.append(X)
         vals.append(v)
     return designs, vals, spec
@@ -446,14 +441,13 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     one random within-column swap to each column independently with
     probability pmut.
     """
-    started = time.perf_counter()
-    draws = config.seed.draws()
+    run = _Run(config)
+    draws = run.draws
     pop_size = config.population
     pmut = config.pmut if config.pmut is not None else 0.25
-    budget = _Budget(config.max_evaluations)
-    pop, vals, spec = _random_starts(pop_size, n, k, spec, draws, budget, inspect)
+    pop, vals, spec = _random_starts(pop_size, n, k, spec, run, inspect)
 
-    while not budget.exhausted():
+    while not run.exhausted():
         elite = int(np.argmin(vals))
         best_parent = pop[elite]
         new_pop = [best_parent]
@@ -461,7 +455,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
         for idx in range(pop_size):
             if idx == elite:
                 continue
-            if budget.exhausted():
+            if run.exhausted():
                 break
             mask = np.array(draws.below_many(2, k), dtype=bool)
             child = np.where(mask[None, :], best_parent, pop[idx])
@@ -472,13 +466,13 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
             if inspect is not None:
                 inspect(child.copy())
             v = crit.evaluate(child, spec)
-            budget.record(v, child)
+            run.record(v, child)
             new_pop.append(child)
             new_vals.append(v)
         pop = new_pop
         vals = new_vals
 
-    return _result(budget, started, _echo(config, spec, n, k, pmut_effective=pmut))
+    return run.result(_echo(config, spec, n, k, pmut_effective=pmut))
 
 
 def match_swaps(column: np.ndarray, target: np.ndarray, count: int,
@@ -520,10 +514,9 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     toward the global best, then one random swap with probability pmut.
     Personal and global bests update right after the particle is evaluated.
     """
-    started = time.perf_counter()
-    draws = config.seed.draws()
-    budget = _Budget(config.max_evaluations)
-    particles, vals, spec = _random_starts(config.swarm, n, k, spec, draws, budget, inspect)
+    run = _Run(config)
+    draws = run.draws
+    particles, vals, spec = _random_starts(config.swarm, n, k, spec, run, inspect)
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
     pmut = config.pmut if config.pmut is not None else 1.0 / k  # k >= 1: random_lhd checks it
@@ -534,9 +527,9 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     gbest = pbest[g_idx].copy()
     gval = pvals[g_idx]
 
-    while not budget.exhausted():
+    while not run.exhausted():
         for pi in range(len(particles)):
-            if budget.exhausted():
+            if run.exhausted():
                 break
             X = particles[pi]
             for c in range(k):
@@ -548,7 +541,7 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
             if inspect is not None:
                 inspect(X.copy())
             v = crit.evaluate(X, spec)
-            budget.record(v, X)
+            run.record(v, X)
             vals[pi] = v
             if v < pvals[pi]:
                 pvals[pi] = v
@@ -557,9 +550,8 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
                 gval = v
                 gbest = X.copy()
 
-    echo = _echo(config, spec, n, k, same_num_p_effective=snp,
-                 same_num_g_effective=sng, pmut_effective=pmut)
-    return _result(budget, started, echo)
+    return run.result(_echo(config, spec, n, k, same_num_p_effective=snp,
+                            same_num_g_effective=sng, pmut_effective=pmut))
 
 
 # ---------------------------------------------------------------------------

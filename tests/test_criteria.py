@@ -109,14 +109,11 @@ class TestPhiP:
         spec = CriterionSpec("phi_p", q=q)
         X = np.array([[1, 2], [1, 2], [3, 1]])
         assert phi_p(X, q=q) == np.inf
-        assert Evaluator(X, spec).value() == np.inf
-        # repeated levels, distinct rows: a swap can make two rows equal and back
-        Y = np.array([[1, 2], [1, 3], [2, 2]])
-        ev = Evaluator(Y, spec)
-        assert ev.propose(1, 1, 2) == np.inf  # row 1 becomes [1, 2], equal to row 0
-        ev.commit(1, 1, 2)
-        assert ev.value() == np.inf
-        assert ev.propose(1, 1, 2) == pytest.approx(phi_p(Y, q=q), rel=1e-12)
+        # no LHD has two equal rows, and the Evaluator takes LHDs only, also
+        # one whose rows are distinct but which a swap could make equal
+        for Y in (X, np.array([[1, 2], [1, 3], [2, 2]])):
+            with pytest.raises(InvalidDesignError):
+                Evaluator(Y, spec)
 
 
 class TestOneRun:
@@ -248,8 +245,12 @@ class TestCorrelations:
             spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
             with pytest.raises(InvalidDesignError):
                 evaluate(X, spec)
-            with pytest.raises(InvalidDesignError):
+        for kind in KINDS:  # the Evaluator takes LHDs only, whatever the criterion
+            spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
+            with pytest.raises(InvalidDesignError, match="permutation of 1..3"):
                 Evaluator(X, spec)
+        # the full distance criteria still take any integer design
+        assert np.isfinite(phi_p([[10, 20], [20, 10], [30, 30]]))
 
 
 class TestWeightedObjective:

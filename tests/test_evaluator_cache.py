@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lhdopt import CriterionSpec, exchange
 from lhdopt.criteria import _RESUM, KINDS, Evaluator, evaluate
+from lhdopt.errors import InvalidDesignError
 
 CACHES = {
     "phi_p": ("state.S",),
@@ -158,28 +159,28 @@ def test_running_sum_matches_its_recomputation(spec):
 
 
 def test_committed_equal_rows_stay_infinite():
-    # column 0 repeats a level; swapping column 1 of rows 1 and 3 makes rows 0
-    # and 1 equal, while the other pairs keep the p=1 sum above half its value
+    # column 0 repeats a level, so swapping column 1 of rows 1 and 3 makes
+    # rows 0 and 1 equal; full evaluation gives that inf, while the
+    # Evaluator, which takes LHDs only, refuses the design up front
     X = np.array([[1, 1], [1, 3], [2, 5], [3, 1], [4, 4], [5, 2]])
     spec = CriterionSpec("phi_p", p=1)
-    ev = Evaluator(X, spec)
-    assert ev.propose(1, 1, 3) == np.inf
-    ev.commit(1, 1, 3)
-    assert ev.value() == np.inf
-    assert ev.propose(1, 1, 3) == pytest.approx(evaluate(X, spec), rel=1e-10)
-    ev.commit(1, 1, 3)
-    assert ev.value() == pytest.approx(evaluate(X, spec), rel=1e-10)
+    assert evaluate(exchange(X, 1, 1, 3), spec) == np.inf
+    with pytest.raises(InvalidDesignError):
+        Evaluator(X, spec)
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_table_grows_past_its_end(q):
-    # the first swap creates a distance past 5/4 of the largest starting one,
+    # the first swap makes rows 0 and 1 differ by 2 in both columns, a
+    # distance (4 for q=1, 8 for q=2) at or past the table's end (size 4, 7),
     # so its proposal reads the table's NaN end and its commit extends the table
-    X = np.array([[1, 5], [10, 1], [5, 10]])
+    X = np.array([[1, 3], [2, 1], [3, 2]])
     spec = CriterionSpec("phi_p", q=q)
     ev = Evaluator(X, spec)
     size = ev.state.size
-    for col, i, j in [(1, 0, 2), (0, 0, 1), (1, 1, 2), (0, 2, 0)]:
+    ev.propose(0, 1, 2)
+    assert not ev.state.fast
+    for col, i, j in [(0, 1, 2), (0, 0, 1), (1, 1, 2), (0, 2, 0)]:
         want = evaluate(exchange(ev.X, col, i, j), spec)
         assert ev.propose(col, i, j) == pytest.approx(want, rel=1e-10)
         ev.commit(col, i, j)

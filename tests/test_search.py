@@ -48,13 +48,33 @@ def cfg(alg, budget=20000, seed=1, **kw):
     return OptimizerConfig(algorithm=alg, max_evaluations=budget, seed=RngStream(seed), **kw)
 
 
+# the inputs of ``S.run`` besides the config and criterion, per algorithm
+RUN_INPUTS = {
+    "sa": {"n": 6, "k": 3},
+    "ga": {"n": 6, "k": 3},
+    "lapso": {"n": 6, "k": 3},
+    "oasa": {"oa": "OA(9,4,3,2)"},
+    "sa-multiobj": {"n": 6, "k": 3},
+    "sa-sliced": {"n": 6, "k": 3, "slices": 3},
+}
+
+
 class TestCommonContract:
     @pytest.mark.parametrize("fn,alg", [(sa_search, "sa"), (ga_search, "ga"),
-                                        (lapso_search, "lapso")])
-    def test_result_invariants(self, fn, alg):
-        r = fn(6, 3, PHI, cfg(alg, budget=2000))
+                                        (lapso_search, "lapso"), (oasa_search, "oasa"),
+                                        (sa_multiobj_search, "sa-multiobj"),
+                                        (sliced_sa_search, "sa-sliced")])
+    def test_result_invariants(self, fn, alg, monkeypatch):
+        # ``run`` calls ``fn`` once, through the module attribute a wrapper replaces
+        calls = []
+        monkeypatch.setattr(S, fn.__name__, lambda *a, **kw: calls.append(a) or fn(*a, **kw))
+        weight = 0.5 if alg == "sa-multiobj" else None
+        r = S.run(cfg(alg, budget=2000, weight=weight), PHI, **RUN_INPUTS[alg])
+        assert len(calls) == 1
         assert validate(r.best).ok
+        assert not r.best.flags.writeable
         assert r.evaluations_used <= 2000
+        assert r.elapsed >= 0
         vals = [v for _, v in r.trace]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert r.trace[-1] == (r.evaluations_used, r.value)
