@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
@@ -32,6 +31,7 @@ from .errors import (
     InvalidOAError,
     InvalidParameterError,
     UnknownNameError,
+    as_int,
 )
 from .rng import Draws, RngStream, as_draws, permutation
 
@@ -144,28 +144,28 @@ def good_oa_catalog(name: str) -> OrthogonalArray:
     return parse_oa(raw.decode(), json.loads(data.joinpath(entry["sidecar"]).read_text()))
 
 
-def oa_to_lhd(oa: OrthogonalArray,
-              rng: RngStream | Draws | np.random.Generator | None = None) -> np.ndarray:
+def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | Draws | None = None) -> np.ndarray:
     """Expand an OA into an N-run LHD by replacing each symbol's positions
     with distinct fine levels (Tang-style expansion).
 
     In each column, the N/s positions holding symbol m become a permutation
     of {(m-1)N/s + 1, ..., mN/s}: ascending order when ``rng`` is None
-    (deterministic mode), a random permutation per (column, symbol) otherwise
-    (columns left to right, symbols ascending).  Collapsing the result via
-    ceil(x*s/N) recovers the source array exactly.
+    (deterministic mode), otherwise a random permutation per (column, symbol)
+    drawn from an ``RngStream`` or ``Draws`` (columns left to right, symbols
+    ascending).  Collapsing the result via ceil(x*s/N) recovers the source
+    array exactly.
     """
     N, K, s = oa.N, oa.K, oa.s
     reps = N // s
+    draws = None if rng is None else as_draws(rng)
     X = np.empty((N, K), dtype=np.int64)
-    with nullcontext() if rng is None else as_draws(rng) as draws:
-        for c in range(K):
-            for m in range(1, s + 1):
-                pos = np.nonzero(oa.cells[:, c] == m)[0]
-                fine = np.arange((m - 1) * reps + 1, m * reps + 1, dtype=np.int64)
-                if draws is not None:
-                    fine = fine[permutation(draws, reps) - 1]
-                X[pos, c] = fine
+    for c in range(K):
+        for m in range(1, s + 1):
+            pos = np.nonzero(oa.cells[:, c] == m)[0]
+            fine = np.arange((m - 1) * reps + 1, m * reps + 1, dtype=np.int64)
+            if draws is not None:
+                fine = fine[permutation(draws, reps) - 1]
+            X[pos, c] = fine
     X.setflags(write=False)
     return X
 
@@ -229,6 +229,7 @@ def _pair_flip_olhd(m: int, pairs) -> np.ndarray:
     """The n = 2^m + 1 run design of the identity, the m-1 single-bit flips
     and the flips of the bit pairs (i, j) in ``pairs(m - 1)``, mirrored
     around a center row."""
+    m = as_int(m, "m", InvalidParameterError)
     if m < 2:
         raise InvalidParameterError(f"m must be at least 2, got {m}")
     c = m - 1
@@ -263,6 +264,7 @@ def olhd_sun2010(c: int, r: int, plus_one: bool = False) -> np.ndarray:
     pattern W = sign(T); stacking T + j*2^c*W for j = 0..r-1 and mirroring
     keeps all integer inner products exactly zero.
     """
+    c, r = as_int(c, "c", InvalidParameterError), as_int(r, "r", InvalidParameterError)
     if c < 1 or r < 1:
         raise InvalidParameterError(f"need c >= 1 and r >= 1, got c={c}, r={r}")
     h = 1 << c
@@ -282,6 +284,7 @@ def williams_transform(x: np.ndarray, n: int) -> np.ndarray:
 
     Maps any permutation of 0..n-1 to another permutation of 0..n-1.
     """
+    n = as_int(n, "n", InvalidParameterError)
     a = np.asarray(x, dtype=np.int64)
     if a.size and (a.min() < 0 or a.max() >= n):
         raise InvalidParameterError(f"entries must lie in 0..{n - 1}")
@@ -323,6 +326,7 @@ def olhd_butler2001(n: int, k: int) -> np.ndarray:
     for k <= (n-1)/2.  For k > (n-1)/2 the mirror pairs g + h = n are not
     cosine-orthogonal for any shift.
     """
+    n, k = as_int(n, "n", InvalidParameterError), as_int(k, "k", InvalidParameterError)
     if not _is_odd_prime(n):
         raise InvalidParameterError("n must be an odd prime")
     if not 1 <= k <= n - 1:

@@ -32,6 +32,7 @@ from .errors import (
     InvalidWeightError,
     TooFewColumnsError,
     as_exponents,
+    as_real,
 )
 
 KINDS = ("phi_p", "maxpro", "avgcor", "maxcor", "combo")
@@ -77,9 +78,12 @@ class CriterionSpec:
                 f"unknown criterion {self.kind!r}; expected one of {KINDS}"
             )
         as_exponents(self.p, self.q)
-        if self.kind == "combo":
-            if self.weight is None or not 0.0 <= float(self.weight) <= 1.0:
-                raise InvalidWeightError(f"combo weight must be in [0,1], got {self.weight!r}")
+        if self.weight is not None:
+            as_real(self.weight, "weight", InvalidWeightError)
+        if self.norm_upper is not None:
+            as_real(self.norm_upper, "norm_upper")
+        if self.kind == "combo" and (self.weight is None or not 0.0 <= self.weight <= 1.0):
+            raise InvalidWeightError(f"combo weight must be in [0,1], got {self.weight!r}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "p": int(self.p), "q": int(self.q)}

@@ -67,20 +67,20 @@ def parse_int_csv(text: str) -> np.ndarray:
                      for line in text.strip().splitlines() if line.strip()], dtype=np.int64)
 
 
-def random_lhd(n: int, k: int, rng: RngStream | Draws | np.random.Generator) -> np.ndarray:
+def random_lhd(n: int, k: int, rng: RngStream | Draws) -> np.ndarray:
     """Random LHD: each column an independent Fisher-Yates permutation of 1..n.
 
     Deterministic in the stream: the same (seed, stream) always yields the
-    same design.  Columns are drawn left to right.  A ``Generator`` is left
-    where the same draws made through NumPy would leave it (``rng.as_draws``).
+    same design.  Columns are drawn left to right, from the start of an
+    ``RngStream`` or from where a ``Draws`` stands (``rng.as_draws``).
     """
     n, k = as_int(n, "n", InvalidDimensionError), as_int(k, "k", InvalidDimensionError)
     if n < 2 or k < 1:
         raise InvalidDimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    draws = as_draws(rng)
     X = np.empty((n, k), dtype=np.int64)
-    with as_draws(rng) as draws:
-        for c in range(k):
-            X[:, c] = permutation(draws, n)
+    for c in range(k):
+        X[:, c] = permutation(draws, n)
     return _freeze(X)
 
 

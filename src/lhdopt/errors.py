@@ -2,10 +2,11 @@
 
 Every error raised by the library derives from :class:`LhdError`, so callers
 can catch one type at the boundary (the CLI maps them to exit codes).
-``as_int`` is the one check of an integer argument, and ``as_exponents``
-the one check of the phi_p and distance exponents built on it.
+``as_int`` and ``as_real`` check an integer and a real argument, and
+``as_exponents`` the phi_p and distance exponents, built on ``as_int``.
 """
 
+import math
 import numbers
 
 
@@ -75,6 +76,14 @@ def as_int(value, name: str, error: type[LhdError] = InvalidConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str, error: type[LhdError] = InvalidConfigError) -> float:
+    """``value`` as a float: a finite Python or NumPy real that is not a bool.
+    A string, even a numeric one, raises ``error`` instead of being parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def as_exponents(p, q) -> tuple[int, int]:

@@ -24,16 +24,14 @@ These are the rules NumPy's ``Generator.integers`` (default int64 dtype,
 bounds below 2^32) and ``Generator.random`` apply to the same bit generator,
 so a ``Draws`` and a ``Generator`` on one stream give the same numbers;
 ``tests/test_rng.py`` checks that on every supported NumPy.  Permutations
-are a descending Fisher-Yates over bounded draws.  ``as_draws`` also lends a
-caller's ``np.random.Generator`` to the consumer and hands it back exactly
-where the same draws made through NumPy would have left it.
+are a descending Fisher-Yates over bounded draws.  Randomness enters the
+API as an ``RngStream`` or a ``Draws`` only (``as_draws``); a caller who
+wants NumPy's API on the same numbers uses ``RngStream.generator()``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -76,31 +74,22 @@ class RngStream:
 class Draws:
     """Bounded integers and uniforms replayed from a bit generator's raw words.
 
-    Words are pulled in blocks of 4096 into a list.  ``_half`` mirrors
-    NumPy's ``has_uint32``/``uinteger`` pair: the upper half of the last word
-    split for a bounded draw, pending when it is >= 0 and spent when it is
-    stored bit-inverted (< 0), so the spent value is still known when a
-    generator is handed back.
+    Words are pulled in blocks of 4096 into a list.  ``_half`` is the upper
+    half of the last word split for a bounded draw while it is pending, and
+    -1 once it is spent.
     """
 
-    __slots__ = ("_bitgen", "_words", "_pos", "_half", "_pulled")
+    __slots__ = ("_bitgen", "_words", "_pos", "_half")
 
-    def __init__(self, bit_generator, half: int = ~0):
+    def __init__(self, bit_generator):
         self._bitgen = bit_generator
         self._words: list[int] = []
         self._pos = 0
-        self._half = half
-        self._pulled = 0
+        self._half = -1
 
     def _refill(self) -> None:
         self._words = self._bitgen.random_raw(_BLOCK).tolist()
-        self._pulled += _BLOCK
         self._pos = 0
-
-    @property
-    def words_used(self) -> int:
-        """Raw words taken so far, counting a split word once."""
-        return self._pulled - len(self._words) + self._pos
 
     def below(self, b: int) -> int:
         """Uniform integer in 0..b-1, as ``Generator.integers(b)`` draws it;
@@ -121,7 +110,7 @@ class Draws:
                 self._half = w >> 32
                 u = w & _LOW32
             else:
-                self._half = ~u
+                self._half = -1
             m = u * b
             low = m & _LOW32
             # the rejection threshold 2^32 mod b is below b, so the modulo
@@ -144,41 +133,14 @@ class Draws:
         return (self._words[pos] >> 11) * _DOUBLE
 
 
-@contextmanager
-def as_draws(rng: "RngStream | Draws | np.random.Generator") -> Iterator[Draws]:
-    """The one adapter from what a caller passes to the draws the code takes.
-
-    An ``RngStream`` starts its own sequence and a ``Draws`` is used as is.
-    A ``Generator`` is lent for the block: its words are replayed, then its
-    bit generator is set back to its state on entry, advanced by the words
-    used and given the pending half, which is where NumPy's own calls for
-    the same draws would have left it.  Only bit generators that split
-    64-bit words for 32-bit draws (Philox, PCG64, PCG64DXSM, SFC64; not
-    MT19937) can be lent.
-    """
+def as_draws(rng: RngStream | Draws) -> Draws:
+    """The draws a caller's randomness stands for: a ``Draws`` as it is, or
+    an ``RngStream``'s sequence from its start."""
     if isinstance(rng, Draws):
-        yield rng
-    elif isinstance(rng, RngStream):
-        yield rng.draws()
-    elif isinstance(rng, np.random.Generator):
-        bitgen = rng.bit_generator
-        start = bitgen.state
-        if "has_uint32" not in start:
-            raise InvalidParameterError(
-                f"{start['bit_generator']} does not split 64-bit words for bounded draws")
-        draws = Draws(bitgen, start["uinteger"] if start["has_uint32"] else ~start["uinteger"])
-        try:
-            yield draws
-        finally:
-            bitgen.state = start
-            bitgen.random_raw(draws.words_used)
-            end = bitgen.state
-            half = draws._half
-            end["has_uint32"], end["uinteger"] = (1, half) if half >= 0 else (0, ~half)
-            bitgen.state = end
-    else:
-        raise InvalidParameterError(
-            f"expected RngStream, Draws or Generator, got {type(rng)!r}")
+        return rng
+    if isinstance(rng, RngStream):
+        return rng.draws()
+    raise InvalidParameterError(f"expected RngStream or Draws, got {type(rng)!r}")
 
 
 def permutation(draws: Draws, n: int) -> np.ndarray:

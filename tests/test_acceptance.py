@@ -48,7 +48,7 @@ from lhdopt import (
 )
 from lhdopt.cli import main
 from lhdopt.constructions import collapse_to_oa
-from lhdopt.criteria import avg_abs_cor, evaluate
+from lhdopt.criteria import Evaluator, avg_abs_cor, evaluate, pin_upper
 
 SEEDS = (1, 2, 3, 4, 5)
 PHI = CriterionSpec("phi_p", p=15, q=1)
@@ -228,9 +228,10 @@ class TestAcceptance:
             spec = CriterionSpec(kinds[t % 4], q=1 + t % 2)
             c = int(gen.integers(k))
             i, j = int(gen.integers(n)), int(gen.integers(n))
-            got = delta_after_exchange(X, spec, c, i, j)
             want = evaluate(exchange(X, c, i, j), spec)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+            for got in (delta_after_exchange(X, spec, c, i, j),
+                        Evaluator(X, pin_upper(spec, exchange(X, c, i, j))).propose(c, i, j)):
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
         elapsed = time.perf_counter() - t0
         ok = elapsed < time_limit(10.0)
         report(5, ok, f"1000 designs x 4 criteria + 1000 deltas at 1e-10, "

@@ -165,6 +165,17 @@ class TestBenchmarkCli:
         assert main(["benchmark", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
         assert "weight must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("upper", [float("nan"), "x"])
+    def test_non_numeric_norm_upper_exits_2(self, tmp_path, capsys, upper):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "grid": [[4, 2]], "algorithms": ["sa"],
+            "criterion": {"kind": "combo", "weight": 0.5, "norm_upper": upper},
+            "replications": 1, "budget": 600, "base_seed": 1,
+        }))
+        assert main(["benchmark", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
+        assert "norm_upper must be a finite number" in capsys.readouterr().err
+
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({

@@ -56,6 +56,9 @@ class TestYe1998:
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):
             olhd_ye1998(1)
+        with pytest.raises(InvalidParameterError, match="m must be an integer"):
+            olhd_ye1998(3.0)
+        assert np.array_equal(olhd_ye1998(np.int64(3)), olhd_ye1998(3))
 
 
 class TestCioppa2007:
@@ -71,6 +74,8 @@ class TestCioppa2007:
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):
             olhd_cioppa2007(0)
+        with pytest.raises(InvalidParameterError, match="m must be an integer"):
+            olhd_cioppa2007(2.5)
 
 
 class TestSun2010:
@@ -96,6 +101,10 @@ class TestSun2010:
             olhd_sun2010(0, 1)
         with pytest.raises(InvalidParameterError):
             olhd_sun2010(1, 0)
+        for c, r in ((1.0, 1), (1, 2.0), (True, True), (True, 1), ("1", 1)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                olhd_sun2010(c, r)
+        assert np.array_equal(olhd_sun2010(np.int32(1), np.uint8(2)), olhd_sun2010(1, 2))
 
 
 class TestWilliams:
@@ -111,6 +120,8 @@ class TestWilliams:
     def test_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             williams_transform(np.array([0, 5]), 5)
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            williams_transform([0, 1, 2], 3.5)
 
 
 class TestButler2001:
@@ -149,6 +160,9 @@ class TestButler2001:
             olhd_butler2001(4, 2)
         with pytest.raises(InvalidParameterError):
             olhd_butler2001(5, 5)
+        for n, k in ((7, 2.0), (7.0, 2), (7, True), (True, 1)):
+            with pytest.raises(InvalidParameterError, match="must be an integer"):
+                olhd_butler2001(n, k)
 
     def test_no_wide_orthogonal_lhd_exists_at_n5(self):
         """Exhaustive: no 5-run LHD has 3 mutually orthogonal columns.

@@ -19,7 +19,7 @@ from lhdopt import (
     random_lhd,
     weighted_objective,
 )
-from lhdopt.criteria import KINDS, Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy
+from lhdopt.criteria import KINDS, Evaluator, avg_sq_cor, evaluate, phi_p_lower_proxy, pin_upper
 from lhdopt.errors import (
     DegenerateCoordinateError,
     InvalidConfigError,
@@ -330,6 +330,19 @@ class TestWeightedObjective:
             CriterionSpec("combo", weight=1.5)
         with pytest.raises(InvalidWeightError):
             CriterionSpec("combo")
+        for weight in ("0.5", "abc", True, float("nan"), float("inf"), [0.5]):
+            with pytest.raises(InvalidWeightError, match="weight must be a finite number"):
+                CriterionSpec("combo", weight=weight)
+            with pytest.raises(InvalidWeightError):
+                CriterionSpec("phi_p", weight=weight)
+        assert CriterionSpec("combo", weight=np.float64(0.5)) == CriterionSpec("combo", weight=0.5)
+
+    @pytest.mark.parametrize("upper", ["x", "2.0", True, float("nan"), float("-inf"), [1.0]])
+    def test_norm_upper_must_be_a_finite_number(self, upper):
+        with pytest.raises(InvalidConfigError, match="norm_upper must be a finite number"):
+            CriterionSpec("combo", weight=0.5, norm_upper=upper)
+        with pytest.raises(InvalidConfigError):
+            CriterionSpec.from_dict({"kind": "combo", "weight": 0.5, "norm_upper": upper})
 
 
 class TestInvariances:
@@ -397,9 +410,10 @@ class TestDeltaAfterExchange:
             c = int(gen.integers(k))
             i, j = int(gen.integers(n)), int(gen.integers(n))
             for spec in specs:
-                got = delta_after_exchange(X, spec, c, i, j)
                 want = evaluate(exchange(X, c, i, j), spec)
-                assert got == pytest.approx(want, rel=1e-10)
+                for got in (delta_after_exchange(X, spec, c, i, j),
+                            Evaluator(X, pin_upper(spec, exchange(X, c, i, j))).propose(c, i, j)):
+                    assert got == pytest.approx(want, rel=1e-10)
 
     def test_unpinned_combo_scales_by_the_exchanged_design(self):
         X = random_lhd(8, 3, RngStream(1))
