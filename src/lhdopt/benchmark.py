@@ -3,17 +3,17 @@
 A run is described by a JSON BenchmarkSpec; every (algorithm, n, k,
 replication) cell draws its own random stream with
 ``stream = low64(sha256("alg|n|k|rep"))`` so cells are independent and any
-single cell can be reproduced in isolation.  Replications may execute
-concurrently; outputs are canonically ordered and identical to a sequential
-run (timings aside).
+single cell can be reproduced in isolation.  Replications may run in
+worker processes; outputs are canonically ordered and identical to a
+sequential run (timings aside).
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -125,20 +125,30 @@ def _run_cell(spec: BenchmarkSpec, algorithm: str, n: int, k: int, rep: int) -> 
 def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> tuple[list[dict], list[dict]]:
     """All cells x replications; returns (long-form rows, per-cell summary).
 
-    Rows come back sorted by (algorithm, n, k, rep) no matter how many
-    workers ran them, and the value column depends only on the spec.
+    With ``workers`` > 1 the cells run in a pool of worker processes (the
+    searches hold the GIL, so threads would not overlap them), at most one
+    per cell and per core.  Rows come back sorted by (algorithm, n, k, rep)
+    no matter how many workers ran them, and every column but
+    ``elapsed_ms`` depends only on the spec.
     """
+    workers = as_int(workers, "workers")
+    if workers < 1:
+        raise InvalidConfigError(f"workers must be at least 1, got {workers}")
     cells = [
         (alg, n, k, rep)
         for alg in spec.algorithms
         for (n, k) in spec.grid
         for rep in range(1, spec.replications + 1)
     ]
-    if workers <= 1:
+    processes = min(workers, len(cells), os.cpu_count() or 1)
+    if processes <= 1:
         rows = [_run_cell(spec, *cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(spec, *c), cells))
+        # imported here: multiprocessing costs every cold lhdopt call ~20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            rows = list(pool.map(_run_cell, repeat(spec), *zip(*cells)))
     rows.sort(key=lambda r: (r["algorithm"], r["n"], r["k"], r["rep"]))
 
     summary = []

@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", required=True, help="long-form results CSV")
     b.add_argument("--summary", help="optional summary CSV path")
     b.add_argument("--workers", type=int, default=1,
-                   help="concurrent replications (results identical to sequential)")
+                   help="worker processes, at most one per cell and per core "
+                        "(results identical to a sequential run)")
     b.set_defaults(fn=_cmd_benchmark)
     return parser
 

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .criteria import max_abs_cor
-from .design import parse_int_csv, rearranged_columns, validate
+from .design import as_design, exact_int64, parse_int_csv, rearranged_columns, validate
 from .errors import (
     DimensionMismatchError,
     InvalidOAError,
@@ -171,9 +171,14 @@ def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | Draws | None = None) -> np.n
 
 
 def collapse_to_oa(design: np.ndarray, s: int) -> np.ndarray:
-    """Inverse of the expansion: map fine levels back to OA symbols 1..s."""
-    N = design.shape[0]
-    return (np.asarray(design, dtype=np.int64) * s + N - 1) // N
+    """Inverse of the expansion: map fine levels back to OA symbols 1..s.
+    Every expansion has N = lambda s^2 runs, so s must divide N."""
+    X = as_design(design)
+    N = X.shape[0]
+    s = as_int(s, "s", InvalidParameterError)
+    if not 1 <= s <= N or N % s:
+        raise InvalidParameterError(f"s must divide the run count {N}, got {s}")
+    return (X * s + N - 1) // N
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,7 @@ def williams_transform(x: np.ndarray, n: int) -> np.ndarray:
     Maps any permutation of 0..n-1 to another permutation of 0..n-1.
     """
     n = as_int(n, "n", InvalidParameterError)
-    a = np.asarray(x, dtype=np.int64)
+    a = exact_int64(x, "entries", InvalidParameterError)
     if a.size and (a.min() < 0 or a.max() >= n):
         raise InvalidParameterError(f"entries must lie in 0..{n - 1}")
     return np.where(2 * a < n, 2 * a, 2 * (n - a) - 1)

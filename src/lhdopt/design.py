@@ -32,13 +32,8 @@ def _freeze(X: np.ndarray) -> np.ndarray:
 
 
 def as_design(design: np.ndarray) -> np.ndarray:
-    """The design as a C-contiguous n x k int64 array, n >= 2, k >= 1.
-
-    A design of an integer dtype is taken as it is, so the optimizers' int64
-    designs pay no check.  Any other design must hold finite integral
-    values, which cast exactly; a cast would truncate 1.5 to 1 and turn a
-    ``NaN`` into an arbitrary level.
-    """
+    """The design as a C-contiguous n x k int64 array, n >= 2, k >= 1, cast
+    as :func:`exact_int64` casts."""
     A = np.asarray(design)
     if A.ndim != 2:
         raise InvalidDimensionError(f"a design must be 2-D, got {A.ndim}-D")
@@ -46,17 +41,29 @@ def as_design(design: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError("need at least 2 runs")
     if A.shape[1] < 1:
         raise InvalidDimensionError("need at least 1 factor")
+    return exact_int64(A, "design levels", InvalidDesignError)
+
+
+def exact_int64(values, what: str, error: type[LhdError]) -> np.ndarray:
+    """``values`` as a C-contiguous int64 array, or ``error`` naming ``what``.
+
+    An array of an integer dtype is taken as it is, so the optimizers' int64
+    designs pay no check.  Any other must hold finite integral values, which
+    cast exactly; a cast would truncate 1.5 to 1 and turn a ``NaN`` into an
+    arbitrary level.
+    """
+    A = np.asarray(values)
     if A.dtype.kind in "iu":
         return np.ascontiguousarray(A, dtype=np.int64)
     if A.dtype.kind not in "bfO":
-        raise InvalidDesignError(f"design levels must be integers, got dtype {A.dtype}")
+        raise error(f"{what} must be integers, got dtype {A.dtype}")
     try:
         with np.errstate(invalid="ignore"):  # NaN and inf cast to some integer
             X = np.ascontiguousarray(A, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):  # None, NaN or a huge int as objects
         X = None
     if X is None or not (X == A).all():
-        raise InvalidDesignError("design levels must be finite integers within int64")
+        raise error(f"{what} must be finite integers within int64")
     return X
 
 

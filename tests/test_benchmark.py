@@ -1,6 +1,9 @@
 """Benchmark harness: spec parsing, reproducibility, concurrency invariance."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -104,6 +107,55 @@ class TestRunBenchmark:
         assert [(r["algorithm"], r["rep"]) for r in seq] == \
             [(r["algorithm"], r["rep"]) for r in par]
 
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.0])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(InvalidConfigError, match="workers must be"):
+            run_benchmark(small_spec(), workers=workers)
+
+    def test_pool_is_capped_at_cells_and_cores(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size it is asked for and runs the cells here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        seq, _ = run_benchmark(small_spec())  # 4 cells
+        for cores in (None, 1, 3, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            rows, _ = run_benchmark(small_spec(), workers=10**6)
+            assert [r["value"] for r in rows] == [r["value"] for r in seq]
+        assert sizes == [3, 4]  # no pool for one core, else min(cells, cores)
+
+    def test_process_pool_rows_equal_sequential_rows(self, monkeypatch):
+        sizes = []
+
+        class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seq, seq_summary = run_benchmark(small_spec())
+        par, par_summary = run_benchmark(small_spec(), workers=2)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []  # the pool joined its workers
+        assert [{c: v for c, v in r.items() if c != "elapsed_ms"} for r in par] == \
+            [{c: v for c, v in r.items() if c != "elapsed_ms"} for r in seq]
+        assert par_summary == seq_summary
+
     def test_structured_algorithms(self):
         spec = small_spec(
             grid=[[8, 3]], algorithms=["sa-sliced", "sa-multiobj"],
@@ -175,6 +227,32 @@ class TestBenchmarkCli:
         }))
         assert main(["benchmark", str(bad), "-o", str(tmp_path / "r.csv")]) == 2
         assert "norm_upper must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "grid": [[4, 2]], "algorithms": ["sa"], "replications": 1,
+            "budget": 600, "base_seed": 1,
+        }))
+        assert main(["benchmark", str(spec_file), "-o", str(tmp_path / "r.csv"),
+                     "--workers", workers]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+    def test_cell_error_in_a_worker_exits_like_a_sequential_run(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # use the pool on any runner
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "grid": [[9, 4]], "algorithms": ["oasa"], "oa": "/nonexistent/oa.csv",
+            "replications": 2, "budget": 100, "base_seed": 1,
+        }))
+        errs = []
+        for workers in ("1", "2"):
+            assert main(["benchmark", str(spec_file), "-o", str(tmp_path / "r.csv"),
+                         "--workers", workers]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and "/nonexistent/oa.csv" in errs[0]
 
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -24,6 +24,7 @@ from lhdopt import (
 from lhdopt.constructions import collapse_to_oa, make_oa, validate_oa
 from lhdopt.errors import (
     DimensionMismatchError,
+    InvalidDesignError,
     InvalidOAError,
     InvalidParameterError,
     UnknownNameError,
@@ -122,6 +123,12 @@ class TestWilliams:
             williams_transform(np.array([0, 5]), 5)
         with pytest.raises(InvalidParameterError, match="n must be an integer"):
             williams_transform([0, 1, 2], 3.5)
+        # entries cast exactly, as design levels do: 0.5 and 1.7 are not truncated
+        for x in ([0.5, 1.7, 2], [np.nan, 1, 2], ["0", "1", "2"]):
+            with pytest.raises(InvalidParameterError, match="entries must be"):
+                williams_transform(x, 3)
+        assert list(williams_transform([0.0, 1.0, 2.0], 3)) == [0, 2, 1]
+        assert list(williams_transform(np.arange(3, dtype=np.int32), 3)) == [0, 2, 1]
 
 
 class TestButler2001:
@@ -230,6 +237,22 @@ class TestOaToLhd:
             X = oa_to_lhd(oa, RngStream(seed))
             assert validate(X).ok
             assert np.array_equal(collapse_to_oa(X, oa.s), oa.cells)
+
+    def test_collapse_needs_a_symbol_count_dividing_the_runs(self):
+        X = oa_to_lhd(good_oa_catalog("OA(9,4,3,2)"))[:, :2]
+        for s in (3.5, 3.0, True, "3"):
+            with pytest.raises(InvalidParameterError, match="s must be an integer"):
+                collapse_to_oa(X, s)
+        for s in (0, -3, 2, 20):
+            with pytest.raises(InvalidParameterError, match="s must divide the run count 9"):
+                collapse_to_oa(X, s)
+        assert np.array_equal(collapse_to_oa(X, np.int64(3)), collapse_to_oa(X, 3))
+        assert np.array_equal(collapse_to_oa(X, 9), X)
+        assert (collapse_to_oa(X, 1) == 1).all()
+        # the design is cast like any other: a list is taken, a fraction refused
+        assert np.array_equal(collapse_to_oa(X.tolist(), 3), collapse_to_oa(X, 3))
+        with pytest.raises(InvalidDesignError):
+            collapse_to_oa(X + 0.5, 3)
 
     def test_unbalanced_symbols_rejected(self):
         with pytest.raises(InvalidOAError):
