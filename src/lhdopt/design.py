@@ -48,12 +48,15 @@ def exact_int64(values, what: str, error: type[LhdError]) -> np.ndarray:
     """``values`` as a C-contiguous int64 array, or ``error`` naming ``what``.
 
     An array of an integer dtype is taken as it is, so the optimizers' int64
-    designs pay no check.  Any other must hold finite integral values, which
-    cast exactly; a cast would truncate 1.5 to 1 and turn a ``NaN`` into an
-    arbitrary level.
+    designs pay no check, but a uint64 value above the int64 range is
+    refused: the cast would wrap it to a negative level.  Any other must hold
+    finite integral values, which cast exactly; a cast would truncate 1.5 to
+    1 and turn a ``NaN`` into an arbitrary level.
     """
     A = np.asarray(values)
     if A.dtype.kind in "iu":
+        if A.dtype == np.uint64 and A.size and A.max() > np.uint64(2**63 - 1):
+            raise error(f"{what} must be finite integers within int64")
         return np.ascontiguousarray(A, dtype=np.int64)
     if A.dtype.kind not in "bfO":
         raise error(f"{what} must be integers, got dtype {A.dtype}")

@@ -22,6 +22,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress
+from operator import ne
 from typing import Callable
 
 import numpy as np
@@ -172,6 +174,14 @@ def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra)
     return d
 
 
+def _check_algorithm(config: OptimizerConfig, *algorithms: str) -> None:
+    """Refuse a config naming none of ``algorithms``, the ones the calling
+    search runs: its echo would replay another search."""
+    if config.algorithm not in algorithms:
+        raise InvalidConfigError(
+            f"this search runs {' or '.join(algorithms)}, not {config.algorithm!r}")
+
+
 class _Run:
     """One search run: its draws, its evaluation budget with the best-so-far
     trace, and its clock.  ``result`` builds the run's ``SearchResult``.
@@ -278,6 +288,7 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     ``column_mode='random'``); the two rows are uniform distinct draws.
     Returns the best design visited, not the final state.
     """
+    _check_algorithm(config, "sa", "sa-multiobj")
     run = _Run(config)
     ev = _init_sa(random_lhd(n, k, run.draws), spec, run, inspect)
     _sa_loop(ev, run, lambda col: two_distinct(run.draws, n), inspect)
@@ -290,6 +301,7 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     and only swap positions that hold the same source symbol, so every
     visited design still collapses back to the array.
     """
+    _check_algorithm(config, "oasa")
     run = _Run(config)
     draws = run.draws
     ev = _init_sa(oa_to_lhd(oa), spec, run, inspect)
@@ -320,6 +332,7 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
     design's phi_p.  Reports both constituents of the best design.
     ``config.weight``, when set, must be ``w``.
     """
+    _check_algorithm(config, "sa-multiobj")
     if not 0.0 <= w <= 1.0:
         raise InvalidConfigError(f"weight must be in [0,1], got {w}")
     if config.weight is not None and config.weight != w:
@@ -351,6 +364,7 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     t, m, n = slices.t, slices.m, slices.n
     if k < 1:
         raise InvalidConfigError(f"need k >= 1, got {k}")
+    _check_algorithm(config, "sa-sliced")
     run = _Run(config)
     draws = run.draws
 
@@ -441,6 +455,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     one random within-column swap to each column independently with
     probability pmut.
     """
+    _check_algorithm(config, "ga")
     run = _Run(config)
     draws = run.draws
     pop_size = config.population
@@ -475,36 +490,30 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     return run.result(_echo(config, spec, n, k, pmut_effective=pmut))
 
 
-def match_swaps(column: np.ndarray, target: np.ndarray, count: int,
-                draws: Draws) -> np.ndarray:
-    """Up to ``count`` swaps moving ``column`` toward ``target``.
+def match_swaps(cur: list, where: list, target: list, count: int, draws: Draws) -> None:
+    """Make up to ``count`` swaps in ``cur`` toward ``target``, in place.
 
-    Precondition: ``column`` is a rearrangement of ``target`` and its values
-    are distinct, as in every LHD column (a permutation of 1..n).  Each swap
-    picks a disagreeing position uniformly (one bounded draw over the sorted
-    disagreeing positions) and swaps it with the position currently holding
-    the target's value there, so the Hamming distance to the target never
-    increases and drops by at least one per swap.  Returns the modified copy.
+    ``cur`` and ``target`` are lists holding permutations of 1..n, as every
+    LHD column does, and ``where`` is the inverse of ``cur`` as a list
+    indexed by level: ``cur[where[v]] == v`` for v in 1..n (``where[0]`` is
+    unused).  Each swap picks a disagreeing position uniformly (one bounded
+    draw over the sorted disagreeing positions) and swaps it with the
+    position holding the target's value there, so the Hamming distance to
+    the target never increases and drops by at least one per swap.  Both
+    ``cur`` and ``where`` are updated.
     """
-    col = np.array(column, dtype=np.int64)
-    diff = np.flatnonzero(col != target).tolist()
-    if not diff:
-        return col
-    cur = col.tolist()
-    want = np.asarray(target).tolist()
-    where = {v: r for r, v in enumerate(cur)}
+    diff = list(compress(range(len(cur)), map(ne, cur, target)))
     below = draws.below
     for _ in range(count):
         if not diff:
             break
         r = diff.pop(below(len(diff)))
-        r2 = where[want[r]]
-        cur[r], cur[r2] = cur[r2], cur[r]
-        where[cur[r]] = r
-        where[cur[r2]] = r2
-        if cur[r2] == want[r2]:
+        v, w = target[r], cur[r]
+        r2 = where[v]
+        cur[r], cur[r2] = v, w
+        where[v], where[w] = r, r2
+        if w == target[r2]:
             del diff[bisect.bisect_left(diff, r2)]
-    return np.array(cur, dtype=np.int64)
 
 
 def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
@@ -513,42 +522,52 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     same-num-p swaps toward its personal best, then up to same-num-g swaps
     toward the global best, then one random swap with probability pmut.
     Personal and global bests update right after the particle is evaluated.
+
+    A particle moves as k column lists with their level-to-row inverses,
+    taken from its design once per move; the bests are kept as the column
+    lists of the move that found them.
     """
+    _check_algorithm(config, "lapso")
     run = _Run(config)
     draws = run.draws
-    particles, vals, spec = _random_starts(config.swarm, n, k, spec, run, inspect)
+    particles, pvals, spec = _random_starts(config.swarm, n, k, spec, run, inspect)
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
     pmut = config.pmut if config.pmut is not None else 1.0 / k  # k >= 1: random_lhd checks it
 
-    pbest = [X.copy() for X in particles]
-    pvals = list(vals)
+    pbest = [X.T.tolist() for X in particles]
     g_idx = int(np.argmin(pvals))
-    gbest = pbest[g_idx].copy()
+    gbest = pbest[g_idx]
     gval = pvals[g_idx]
+    column_ids, row_ids = np.arange(k)[:, None], np.arange(n)
+    inverse = np.empty((k, n + 1), dtype=np.int64)
 
     while not run.exhausted():
         for pi in range(len(particles)):
             if run.exhausted():
                 break
-            X = particles[pi]
+            XT = particles[pi].T
+            cols = XT.tolist()
+            inverse[column_ids, XT] = row_ids
+            where = inverse.tolist()
             for c in range(k):
-                X[:, c] = match_swaps(X[:, c], pbest[pi][:, c], snp, draws)
-                X[:, c] = match_swaps(X[:, c], gbest[:, c], sng, draws)
-                if draws.random() < pmut:
+                cur, wc = cols[c], where[c]
+                match_swaps(cur, wc, pbest[pi][c], snp, draws)
+                match_swaps(cur, wc, gbest[c], sng, draws)
+                if draws.random() < pmut:  # the column's last move: wc is not read again
                     i, j = two_distinct(draws, n)
-                    X[i, c], X[j, c] = X[j, c], X[i, c]
+                    cur[i], cur[j] = cur[j], cur[i]
+            X = particles[pi] = np.array(cols, dtype=np.int64).T.copy()
             if inspect is not None:
                 inspect(X.copy())
             v = crit.evaluate(X, spec)
             run.record(v, X)
-            vals[pi] = v
             if v < pvals[pi]:
                 pvals[pi] = v
-                pbest[pi] = X.copy()
+                pbest[pi] = cols
             if v < gval:
                 gval = v
-                gbest = X.copy()
+                gbest = cols
 
     return run.result(_echo(config, spec, n, k, same_num_p_effective=snp,
                             same_num_g_effective=sng, pmut_effective=pmut))

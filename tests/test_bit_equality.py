@@ -1,7 +1,7 @@
 """Bit-equality of the fast paths with their reference forms.
 
-The pair-indexed full kernels, the position-indexed ``match_swaps``, the
-list-based ``permutation`` (drawing from ``rng.Draws``, their references
+The pair-indexed full kernels, the list-based ``match_swaps`` and
+``permutation`` (drawing from ``rng.Draws``, their references
 from NumPy's ``Generator``), the pair-gathered ``gap_power_sums`` and the
 annealer states' maxpro and correlation updates replace slower
 expressions of the same arithmetic and the same draws.  The reference
@@ -185,10 +185,15 @@ def test_match_swaps_equals_reference(case):
     column, target, count, seed = case
     draws = RngStream(seed).draws()
     gen_ref = RngStream(seed).generator()
-    got = match_swaps(column, target, count, draws)
+    cur, where = column.tolist(), [0] * (len(column) + 1)
+    for r, v in enumerate(cur):
+        where[v] = r
+    match_swaps(cur, where, target.tolist(), count, draws)
+    got = np.array(cur, dtype=np.int64)
     want = ref_match_swaps(column, target, count, gen_ref)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    assert all(where[v] == r for r, v in enumerate(cur))
     # the same draws were made: both sources are at the same place
     assert draws.below(1000) == gen_ref.integers(1000)
     assert draws.random() == gen_ref.random()

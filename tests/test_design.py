@@ -10,10 +10,11 @@ from lhdopt import (
     exchange,
     is_slice_valid,
     make_slices,
+    phi_p,
     random_lhd,
     validate,
 )
-from lhdopt.design import rearranged_columns
+from lhdopt.design import as_design, rearranged_columns
 from lhdopt.errors import (
     IndexOutOfRangeError,
     IndivisibleRunsError,
@@ -134,6 +135,23 @@ class TestDistanceMatrix:
                 D = distance_matrix(X, q)
                 off = D[np.triu_indices(X.shape[0], k=1)]
                 assert off.min() >= 1.0
+
+
+class TestAsDesign:
+    def test_uint64_levels_beyond_int64_are_a_typed_error(self):
+        # cast to int64, 2**64 - 1 would read as level -1
+        X = np.array([[1, 2**64 - 1], [2, 1], [3, 2]], dtype=np.uint64)
+        with pytest.raises(InvalidDesignError, match="within int64"):
+            phi_p(X)
+        with pytest.raises(InvalidDesignError, match="within int64"):
+            as_design(np.array([[1], [2**63]], dtype=np.uint64))
+        ok = np.array([[1, 3], [2, 1], [3, 2]], dtype=np.uint64)
+        assert np.array_equal(as_design(ok), ok.astype(np.int64))
+        assert as_design(np.array([[1], [2**63 - 1]], dtype=np.uint64))[1, 0] == 2**63 - 1
+
+    def test_int64_design_is_taken_as_it_is(self):
+        X = np.array([[1, 3], [2, 1], [3, 2]], dtype=np.int64)
+        assert as_design(X) is X
 
 
 class TestValidate:

@@ -71,6 +71,11 @@ RUNS = {
                                              _cfg("lapso", 300, 24, 13)),
     "lapso-phi_p-44x6": lambda: lapso_search(44, 6, CriterionSpec("phi_p"),
                                              _cfg("lapso", 200, 25, 14)),
+    # the population workload's size and budget
+    "lapso-phi_p-50x8": lambda: lapso_search(50, 8, CriterionSpec("phi_p"),
+                                             _cfg("lapso", 150, 26, 15)),
+    "lapso-maxpro-50x8": lambda: lapso_search(50, 8, CriterionSpec("maxpro"),
+                                              _cfg("lapso", 150, 27, 16)),
 }
 
 # name -> (repr(value), sha1(best.tobytes()), sha1(repr(trace)), evaluations_used)
@@ -79,8 +84,10 @@ GOLDEN = {
     'ga-maxpro': ('0.12230358465706627', '0122c83c2585b6009339d1aa329b10835e83cf78', '1e32769333c866892e3677e0b7fe77689f6817bd', 400),
     'ga-phi_p-q1': ('0.0999262025788571', '4816b16bc1cfeec9a8bcd0db65bc04653cafe695', 'c933a40ecd69abd1c8f7131e7964069940f55d5a', 400),
     'lapso-combo-w0.5': ('0.29183411065445053', 'ed3de6ca66227c65bc0a3603fc243d349936744d', 'fd015443532660e5f492afc4d52f76cf51bd5e9d', 300),
+    'lapso-maxpro-50x8': ('0.02348640589665189', 'de14234aa17092badb69e13b9abe6aafee0e7285', 'fe37e7c2a19484222a823ee4f670a5777d1fa2a5', 150),
     'lapso-maxpro': ('0.12644346373668244', 'f4f71d08147ae63a4cd3939131ab89f1a14fb8c5', 'e418afdb2f87dc3a1d447ad92552e6780abb4311', 300),
     'lapso-phi_p-44x6': ('0.030417675709177548', 'b126de4a35c60b6e648b6012f802ae4f3a666dc8', 'ce50acba943be0a6dcef6b19ba1f41ecf4c69694', 200),
+    'lapso-phi_p-50x8': ('0.019020675644222728', 'eac9dfb6db63179ee0143453789082a1d4d4f9c9', '7e8a6f7e4769a88483a2269b423641039cb1412b', 150),
     'lapso-phi_p-q2': ('0.17175417460441997', 'eeb59f93dd8d5abe79cbf5a375be163580067fc5', '97efdfb7edd2ab2c8436f2b13f810e49a6591c9d', 300),
     'oasa-OA(25,6,5,2)': ('0.03945502137471287', '18cd467acc9a31687258c719dec8d2a58f10ec47', '02cebaa71d20cc82795092da444fb96802c65d7d', 2000),
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),

@@ -58,6 +58,16 @@ RUN_INPUTS = {
     "sa-sliced": {"n": 6, "k": 3, "slices": 3},
 }
 
+# each search function by the algorithm it runs, on a config of any algorithm
+SEARCHES = {
+    "sa": lambda config: sa_search(6, 3, PHI, config),
+    "ga": lambda config: ga_search(6, 3, PHI, config),
+    "lapso": lambda config: lapso_search(6, 3, PHI, config),
+    "oasa": lambda config: oasa_search(good_oa_catalog("OA(9,4,3,2)"), PHI, config),
+    "sa-multiobj": lambda config: sa_multiobj_search(6, 3, 0.5, config),
+    "sa-sliced": lambda config: sliced_sa_search(make_slices(6, 3), 3, PHI, config),
+}
+
 
 class TestCommonContract:
     @pytest.mark.parametrize("fn,alg", [(sa_search, "sa"), (ga_search, "ga"),
@@ -111,6 +121,20 @@ class TestCommonContract:
         sa_search(6, 3, PHI, cfg("sa", budget=300), inspect=seen.append)
         assert len(seen) == 300  # start + one per proposal
         assert all(validate(X).ok for X in seen)
+
+    @pytest.mark.parametrize("alg", sorted(SEARCHES))
+    def test_a_config_of_another_algorithm_is_refused_before_any_draw(self, alg, monkeypatch):
+        # its echo would name the other algorithm, and replay would run that one
+        monkeypatch.setattr(RngStream, "draws", lambda self: pytest.fail("a draw was made"))
+        accepted = {"sa", "sa-multiobj"} if alg == "sa" else {alg}  # sa_multiobj_search's call
+        for other in sorted(set(S.ALGORITHMS) - accepted):
+            with pytest.raises(InvalidConfigError, match=f"runs {alg}"):
+                SEARCHES[alg](cfg(other, budget=50))
+
+    def test_sa_runs_the_config_that_sa_multiobj_hands_it(self):
+        config = cfg("sa-multiobj", budget=50, weight=0.5)
+        combo = CriterionSpec("combo", weight=0.5)
+        assert sa_search(6, 3, combo, config).value == SEARCHES["sa-multiobj"](config).value
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfigError):
@@ -330,10 +354,15 @@ class TestLapso:
             target = gen.permutation(n) + 1
             h0 = int(np.sum(col != target))
             count = int(gen.integers(0, 5))
-            out = match_swaps(col, target, count, draws)
+            cur, where = col.tolist(), [0] * (n + 1)
+            for r, v in enumerate(cur):
+                where[v] = r
+            match_swaps(cur, where, target.tolist(), count, draws)
+            out = np.array(cur)
             h1 = int(np.sum(out != target))
             assert h1 <= h0
             assert sorted(out.tolist()) == list(range(1, n + 1))
+            assert all(where[v] == r for r, v in enumerate(cur))
             if count > 0 and h0 > 0:
                 assert h1 < h0
 
