@@ -22,11 +22,15 @@ q=2), so ``phi_delta`` reads the pair terms from a weight table
 ``W[d] = (d_ref/d)^e`` (``phi_weights``, covering the distances up to 5/4
 of the largest live one) indexed by those integers instead of raising each
 distance to a power (``criteria._PhiState`` keeps the table).  With
-``d_ref`` near the smallest distance no p underflows.  ``phi_delta`` returns
-the change of one running pair sum and ``maxpro_delta`` the new value of
-another; both sums follow one drift policy (``criteria._PairSum``), and the
-evaluator is tested to agree with ``phi_stable`` to 1e-10 for
-1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.
+``d_ref`` near the smallest distance no p underflows.  The changes of those
+distances under a swap come from a second table the state keeps, the
+(n+1) x (n+1) level table ``L[u, v] = |u - v|^q`` (``level_table``): row i
+trades ``L[x_i, x_l]`` for ``L[x_j, x_l]`` against each row l, so one
+subtraction of two table rows and one gather by the column give them all.
+``phi_delta`` returns the change of one running pair sum and
+``maxpro_delta`` the new value of another; both sums follow one drift
+policy (``criteria._PairSum``), and the evaluator is tested to agree with
+``phi_stable`` to 1e-10 for 1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.
 ``phi_sum`` is the plain sum of d^-p, which underflows at large p; nothing
 in the library calls it.
 """
@@ -145,29 +149,38 @@ def phi_weights(size: int, dref: int, e: float) -> np.ndarray:
 _ROW_SIGNS = np.array([[1], [-1]], dtype=np.int64)
 
 
-def phi_delta(S: np.ndarray, W: np.ndarray, x: np.ndarray, i: int, j: int,
-              q: int) -> tuple[float, np.ndarray]:
+def level_table(n: int, q: int) -> np.ndarray:
+    """Read-only (n+1) x (n+1) int64 table ``L[u, v] = |u - v|^q`` of the
+    gap terms between the levels 0..n of one column."""
+    u = np.arange(n + 1, dtype=np.int64)
+    L = np.abs(u[:, None] - u) ** q
+    L.setflags(write=False)
+    return L
+
+
+def phi_delta(S: np.ndarray, W: np.ndarray, L: np.ndarray, x: np.ndarray,
+              i: int, j: int) -> tuple[float, np.ndarray]:
     """Change of the weighted pair sum when rows i, j swap their entries of
     the column ``x``, and rows i, j of ``S`` after the swap.
 
-    ``S`` is the int64 ``gap_power_sums`` of the design before the swap and
-    ``W`` a ``phi_weights`` table.  Against each other row l, row i trades
-    |x_i - x_l|^q for |x_j - x_l|^q, a change ``delta[l]``, and row j the
-    reverse.  ``delta`` is 0 at i and j, and ``W[0]`` weights the diagonal,
-    so the gather over both full rows adds exactly 0 for every pair the swap
+    ``S`` is the int64 ``gap_power_sums`` of the design before the swap,
+    ``W`` a ``phi_weights`` table and ``L`` the ``level_table`` of the
+    design's q, which ``x``, a column of levels 1..n, indexes.  Against each
+    other row l, row i trades |x_i - x_l|^q for |x_j - x_l|^q, a change
+    ``delta[l]`` read off rows x_j and x_i of ``L``, and row j the reverse.
+    ``delta`` is set to 0 at i and j, and ``W[0]`` weights the diagonal, so
+    the gather over both full rows adds exactly 0 for every pair the swap
     leaves unchanged; no mask is needed.  A new distance past the end of
     ``W`` reads its last entry, so a ``NaN`` there makes the change ``NaN``.
     """
-    xi, xj = x[i], x[j]
-    if q == 1:
-        delta = np.abs(x - xj) - np.abs(x - xi)
-    else:
-        delta = (xi - xj) * (2 * x - (xi + xj))  # (x - xj)^2 - (x - xi)^2
+    delta = np.subtract(L[x[j]], L[x[i]]).take(x)
     delta[i] = 0
     delta[j] = 0
-    rows = S[[i, j]]
+    rows = S.take((i, j), axis=0)
     new = rows + delta * _ROW_SIGNS
-    return float((W.take(new, mode="clip") - W[rows]).sum()), new
+    g = W.take(new, mode="clip")
+    g -= W.take(rows)
+    return float(np.add.reduce(g, axis=None)), new
 
 
 def maxpro_sum(X: np.ndarray) -> float:
@@ -204,9 +217,9 @@ def maxpro_delta(P: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> floa
     g2 *= g2
     new = old / g2
     new *= g2[::-1]
-    lost = (1.0 / old).sum(axis=1)
-    gained = np.divide(1.0, new, out=new).sum(axis=1)
-    return float(s - (lost[0] + lost[1]) + (gained[0] + gained[1]))
+    lost_i, lost_j = np.add.reduce(np.divide(1.0, old, out=old), axis=1).tolist()
+    gained_i, gained_j = np.add.reduce(np.divide(1.0, new, out=new), axis=1).tolist()
+    return s - (lost_i + lost_j) + (gained_i + gained_j)
 
 
 def warm_up() -> None:

@@ -14,14 +14,13 @@ import hashlib
 import os
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from pathlib import Path
 
 import numpy as np
 
 from . import search as S
 from .criteria import CriterionSpec
 from .errors import InvalidConfigError, as_int
-from .io import read_json
+from .io import read_json, write_text
 from .rng import RngStream
 
 RESULT_COLUMNS = ("algorithm", "n", "k", "criterion", "rep", "seed", "stream",
@@ -170,7 +169,7 @@ def write_rows_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:
             v = r[c]
             cells.append(repr(v) if isinstance(v, float) else str(v))
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def format_summary_table(summary: list[dict]) -> str:

@@ -327,12 +327,14 @@ class _PhiState(_PairSum):
     """phi_p state keyed by the exact integer pair distances.
 
     ``S`` holds every pair distance as an int64 (L1 for q=1, squared L2 for
-    q=2).  The weight table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for
-    q=2) factors out a reference distance ``d_ref`` as ``phi_stable`` does,
+    q=2), and the read-only ``L = _kernels.level_table(n, q)`` the gap terms
+    ``|u - v|^q`` between any two levels of a column, which a swap trades.
+    The weight table ``W[d] = (d_ref/d)^e`` (e = p for q=1, p/2 for q=2)
+    factors out a reference distance ``d_ref`` as ``phi_stable`` does,
     so no p underflows, and phi_p = s^(1/p) / d_ref^(1/q) for the scaled
     pair sum ``s``, the sum of ``W`` over the distances.
 
-    The table covers the distances up to 5/4 of the largest one at the
+    ``W`` covers the distances up to 5/4 of the largest one at the
     start, never past k(n-1)^q, the largest an LHD has, and ends in a
     ``NaN``.  A proposal that creates a longer distance reads that ``NaN``
     and is evaluated in full, and its commit extends the table.
@@ -351,6 +353,7 @@ class _PhiState(_PairSum):
         self.p = float(spec.p)
         self.e = self.p if self.q == 1 else self.p / 2.0
         self.S = _kernels.gap_power_sums(X, self.q)
+        self.L = _kernels.level_table(n, self.q)
         self.pairs = _kernels.pair_indices(n)
         self.reach = k * (n - 1) ** self.q
         self.size = 0
@@ -379,7 +382,7 @@ class _PhiState(_PairSum):
         return s ** (1.0 / self.p) / self.root
 
     def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        dT, self.rows = _kernels.phi_delta(self.S, self.W, X[:, col], i, j, self.q)
+        dT, self.rows = _kernels.phi_delta(self.S, self.W, self.L, X[:, col], i, j)
         return self.s + dT
 
     def _full(self, Y: np.ndarray) -> float:

@@ -22,11 +22,19 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".json")
 
 
-def write_design(path: str | Path, design: np.ndarray) -> Path:
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` with LF newlines; an ``OSError`` becomes an ``LhdError``."""
     path = Path(path)
-    rows = "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(design))
-    path.write_text(rows + "\n", newline="\n")
+    try:
+        path.write_text(text, newline="\n")
+    except OSError as e:
+        raise LhdError(f"cannot write {path}: {e}") from e
     return path
+
+
+def write_design(path: str | Path, design: np.ndarray) -> Path:
+    rows = "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(design))
+    return write_text(path, rows + "\n")
 
 
 def _read_text(path: Path) -> str:
@@ -48,9 +56,7 @@ def read_design(path: str | Path) -> np.ndarray:
 
 
 def write_json(path: str | Path, obj: dict) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
-    return path
+    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str | Path) -> dict:
@@ -61,11 +67,9 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_trace(path: str | Path, trace: list[tuple[int, float]]) -> Path:
-    path = Path(path)
     lines = ["evaluation_index,best_value"]
     lines += [f"{idx},{val!r}" for idx, val in trace]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return write_text(path, "\n".join(lines) + "\n")
 
 
 def read_oa(path: str | Path) -> OrthogonalArray:

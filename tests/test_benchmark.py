@@ -203,6 +203,16 @@ class TestBenchmarkCli:
         assert len(lines) == 2
         assert "algorithm" in capsys.readouterr().out
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "grid": [[4, 2]], "algorithms": ["sa"], "replications": 1,
+            "budget": 100, "base_seed": 1,
+        }))
+        out = tmp_path / "no-such-dir" / "r.csv"
+        assert main(["benchmark", str(spec_file), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {out}: ")
+
     def test_malformed_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"grid": [[4, 2]]}))

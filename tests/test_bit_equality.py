@@ -3,11 +3,13 @@
 The pair-indexed full kernels, the list-based ``match_swaps`` and
 ``permutation`` (drawing from ``rng.Draws``, their references
 from NumPy's ``Generator``), the pair-gathered ``gap_power_sums`` and the
-annealer states' maxpro and correlation updates replace slower
+annealer states' phi_p, maxpro and correlation updates replace slower
 expressions of the same arithmetic and the same draws.  The reference
 forms are kept here, and every check is exact (``==``, not a tolerance):
 seeded runs must not move by a single bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhdopt import CriterionSpec, _kernels, random_lhd
-from lhdopt.criteria import _CorrState, _MaxproState
+from lhdopt.criteria import _CorrState, _MaxproState, _PhiState
 from lhdopt.rng import RngStream, permutation
 from lhdopt.search import match_swaps
 
@@ -96,6 +98,21 @@ def ref_gap_products(A, X):
     return (diff * diff).prod(axis=2)
 
 
+def ref_phi_delta(S, W, x, i, j, q):
+    """The distance changes from five ufuncs on the column, the rows of
+    ``S`` by fancy indexing."""
+    xi, xj = x[i], x[j]
+    if q == 1:
+        delta = np.abs(x - xj) - np.abs(x - xi)
+    else:
+        delta = (xi - xj) * (2 * x - (xi + xj))  # (x - xj)^2 - (x - xi)^2
+    delta[i] = 0
+    delta[j] = 0
+    rows = S[[i, j]]
+    new = rows + delta * np.array([[1], [-1]], dtype=np.int64)
+    return float((W.take(new, mode="clip") - W[rows]).sum()), new
+
+
 def ref_maxpro_delta(P, X, col, i, j, s):
     """Two masked 1-D rows of ``P``, one 1-D sum each."""
     mask = np.ones(X.shape[0], dtype=bool)
@@ -171,7 +188,23 @@ def swaps(draw):
     return np.ascontiguousarray(X, dtype=np.int64), col, i, j
 
 
+@st.composite
+def phi_streams(draw):
+    """An LHD with n in 2..200 and k in 1..6, a q and a stream of swaps
+    (col, i, j, commit), i == j allowed."""
+    n = draw(st.integers(2, 200))
+    k = draw(st.integers(1, 6))
+    X = random_lhd(n, k, RngStream(draw(st.integers(0, 2**32 - 1))))
+    move = st.tuples(st.integers(0, k - 1), st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.booleans())
+    return X, draw(st.sampled_from((1, 2))), draw(st.lists(move, min_size=1, max_size=40))
+
+
 N2K1 = np.array([[2], [1]], dtype=np.int64)
+# the longest distance is 3 (q=1) or 5 (q=2), and W ends in a NaN just past
+# 5/4 of it; swapping rows 1, 2 of either column makes a distance of 4 or 8,
+# which reads that NaN
+PAST_W = np.array([[3, 1], [1, 2], [2, 3]], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +292,47 @@ def test_gap_power_sums_equal_reference(X, q):
     got = _kernels.gap_power_sums(X, q)
     assert got.dtype == np.int64
     assert np.array_equal(got, ref_gap_power_sums(X, q))
+
+
+def _phi_stream_against_reference(X, q, moves):
+    """Check every proposal of ``moves`` against ``ref_phi_delta`` and
+    return how many read the ``NaN`` past the end of ``W``."""
+    X = X.copy()
+    n = X.shape[0]
+    state = _PhiState(X, CriterionSpec("phi_p", q=q))
+    u = np.arange(n + 1)
+    assert state.L.dtype == np.int64 and not state.L.flags.writeable
+    assert np.array_equal(state.L, np.abs(u[:, None] - u) ** q)
+    assert not state.L.diagonal().any()
+    past_end = 0
+    for col, i, j, keep in moves:
+        want, new = ref_phi_delta(state.S, state.W, X[:, col], i, j, q)
+        got, rows = _kernels.phi_delta(state.S, state.W, state.L, X[:, col], i, j)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert rows.dtype == np.int64 and np.array_equal(rows, new)
+        past_end += math.isnan(want)
+        s = state.s
+        state.propose(X, col, i, j)
+        assert state.new == s + want or (math.isnan(want) and math.isnan(state.new))
+        assert np.array_equal(state.rows, new)
+        if keep:
+            state.commit(col, i, j)
+            X[[i, j], col] = X[[j, i], col]
+    assert np.array_equal(state.S, ref_gap_power_sums(X, q))
+    return past_end
+
+
+@SETTINGS
+@given(phi_streams())
+@example((PAST_W, 1, [(0, 1, 2, True), (1, 0, 2, False)]))
+@example((PAST_W, 2, [(1, 1, 2, False)]))
+def test_phi_state_equals_reference(case):
+    _phi_stream_against_reference(*case)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_phi_delta_past_table_end_equals_reference(q):
+    assert _phi_stream_against_reference(PAST_W, q, [(0, 1, 2, False)]) == 1
 
 
 @SETTINGS

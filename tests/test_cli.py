@@ -92,6 +92,12 @@ class TestGenerate:
     def test_missing_choice_exits_2(self, tmp_path):
         assert run(["generate", "-o", str(tmp_path / "x.csv")]) == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        assert run(["generate", "--random", "-n", "5", "-k", "2", "--seed", "1",
+                    "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {out}: ")
+
     @pytest.mark.parametrize("args,missing", [
         (["--random", "-n", "4"], "random needs --k"),
         (["--construction", "ye1998"], "ye1998 needs --m"),
@@ -269,6 +275,12 @@ class TestSearch:
                     "maxpro", "--weight", "0.5", "--budget", "100", "-o", str(out)]) == 2
         assert "sa-multiobj takes criterion phi_p or combo, got maxpro" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "no-such-dir" / "t.csv"
+        assert run(["search", "-n", "6", "-k", "3", "--alg", "sa", "--budget", "100",
+                    "-o", str(tmp_path / "x.csv"), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {trace}: ")
 
     @pytest.mark.parametrize("t0", ["nan", "inf"])
     def test_non_finite_t0_exits_2(self, tmp_path, capsys, t0):
