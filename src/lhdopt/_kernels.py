@@ -11,28 +11,28 @@ blocks over the pairs a < b of ``pair_indices(n)``, and each block is
 reduced over its k rows: into exact int64 sums of |gap|^q
 (``pair_gap_sums``) or into squared-gap products in the order l = 0..k-1
 (``pair_gap_products``).  The full-design kernels reduce these pair vectors
-further; the annealer states of ``criteria.Evaluator`` scatter them into
-n x n matrices (``pair_matrix``) that the O(n) delta kernels read, with the
-swapped column taken *before* the swap.  All kernels take an int64 design
-of n >= 2 rows of levels 1..n; a "swap" exchanges rows ``i`` and ``j``
-within column ``col``.
+further; the annealer states of ``criteria.Evaluator`` scatter them (or
+their reciprocals) into n x n matrices (``pair_matrix``) that the O(n) delta
+kernels read, with the swapped column taken *before* the swap.  All kernels
+take an int64 design of n >= 2 rows of levels 1..n; a "swap" exchanges rows
+``i`` and ``j`` within column ``col``.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
-``W[d] = (d_ref/d)^e`` (``phi_weights``, covering the distances up to 5/4
-of the largest live one) indexed by those integers instead of raising each
-distance to a power (``criteria._PhiState`` keeps the table).  With
-``d_ref`` near the smallest distance no p underflows.  The changes of those
-distances under a swap come from a second table the state keeps, the
-(n+1) x (n+1) level table ``L[u, v] = |u - v|^q`` (``level_table``): row i
-trades ``L[x_i, x_l]`` for ``L[x_j, x_l]`` against each row l, so one
-subtraction of two table rows and one gather by the column give them all.
-``phi_delta`` returns the change of one running pair sum and
-``maxpro_delta`` the new value of another; both sums follow one drift
-policy (``criteria._PairSum``), and the evaluator is tested to agree with
-``phi_stable`` to 1e-10 for 1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.
-``phi_sum`` is the plain sum of d^-p, which underflows at large p; nothing
-in the library calls it.
+``W[d] = (d_ref/d)^e`` (``phi_weights``, up to 5/4 of the largest live
+distance; with ``d_ref`` near the smallest no p underflows), and their
+changes under a swap from the (n+1) x (n+1) level table
+``L[u, v] = |u - v|^q`` (``level_table``): row i trades ``L[x_i, x_l]``
+for ``L[x_j, x_l]`` against each row l, one subtraction of two table rows
+and one gather by the column.  The maxpro state keeps the reciprocal pair
+products ``R`` and a table ``G[u, v] = (u - v)^2``, so ``maxpro_delta``
+scales rows i, j of ``R`` by one ratio vector of two ``G`` rows, and a
+commit rebuilds them exactly (``reciprocal_rows``).  ``phi_delta`` returns
+the change of one running pair sum and ``maxpro_delta`` the new value of
+another; both follow one drift policy (``criteria._PairSum``), and the
+evaluator is tested to agree with ``phi_stable`` to 1e-10 for
+1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.  ``phi_sum`` is the plain
+sum of d^-p, which underflows at large p; nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ import math
 import numpy as np
 
 
-def gap_products(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Products prod_l (a_lr - x_ls)^2 for every column r of A and column s
-    of X, two transposed (k-row) designs of float64 levels.  The factors
-    multiply in the order l = 0, 1, ..., k-1."""
-    d = A[:, :, None] - X[:, None, :]
-    d *= d
-    return d.prod(axis=0)
+def reciprocal_rows(XT: np.ndarray, i: int, j: int) -> np.ndarray:
+    """1 / prod_l (x_rl - x_sl)^2 of the transposed int64 design ``XT`` for
+    r in (i, j) and every s, multiplied in the order l = 0..k-1; 0 at s == r."""
+    d = XT.take((i, j), axis=1)[:, :, None] - XT[:, None, :]
+    P = np.multiply.reduce(np.square(d, out=d), axis=0, dtype=np.float64)
+    P[0, i] = P[1, j] = math.inf
+    return np.divide(1.0, P, out=P)
 
 
 # gap bytes per block: 1 MiB blocks ran twice as slow at 200x10 and 500x50
@@ -72,7 +72,9 @@ def _pair_gap_blocks(XT: np.ndarray):
     a, b = pair_indices(XT.shape[1])
     step = max(1, _PAIR_BLOCK_BYTES // (8 * XT.shape[0]))
     for lo in range(0, a.size, step):
-        yield XT.take(a[lo:lo + step], axis=1) - XT.take(b[lo:lo + step], axis=1)
+        g = XT.take(a[lo:lo + step], axis=1)
+        g -= XT.take(b[lo:lo + step], axis=1)
+        yield g
 
 
 def pair_gap_sums(X: np.ndarray, q: int) -> np.ndarray:
@@ -200,26 +202,24 @@ def reciprocal_sum(pairs: np.ndarray) -> float:
     return float((1.0 / pairs).sum())
 
 
-def maxpro_delta(P: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> float:
+def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> float:
     """New maxpro pair sum ``s`` after rows i, j swap their entries of the
-    column ``x`` (float64 levels).
+    column ``x`` (int64 levels 1..n).
 
-    ``P`` is the n x n pair product matrix of the design before the swap.  Its
-    rows i, j without columns i, j form one C-ordered 2 x (n-2) block, whose
-    row sums add up in the same order as the two 1-D rows; the swap moves
-    the column's factor between the block's two rows.
+    ``R`` holds the reciprocal pair products before the swap (zero diagonal),
+    ``G`` the squared level gaps ``(u - v)^2`` with a diagonal of 1.  Against
+    row l, the swap multiplies ``R[i, l]`` by ``G[x_i, x_l] / G[x_j, x_l]``
+    and ``R[j, l]`` by its inverse; both ratios are 1 at (i, j) and (j, i),
+    the pair it leaves unchanged, and the zero diagonal drops (i, i) and
+    (j, j), so one sum over both full rows gives the change of ``s``.
     """
-    rows = (i, j)
-    mask = np.ones(x.shape[0], dtype=bool)
-    mask[i] = mask[j] = False
-    old = P.take(rows, axis=0).compress(mask, axis=1)
-    g2 = x.take(rows)[:, None] - x.compress(mask)
-    g2 *= g2
-    new = old / g2
-    new *= g2[::-1]
-    lost_i, lost_j = np.add.reduce(np.divide(1.0, old, out=old), axis=1).tolist()
-    gained_i, gained_j = np.add.reduce(np.divide(1.0, new, out=new), axis=1).tolist()
-    return s - (lost_i + lost_j) + (gained_i + gained_j)
+    g = G.take(x.take((i, j)), axis=0).take(x, axis=1)
+    ratio = g / g[::-1]
+    ratio[0, j] = ratio[1, i] = 1.0
+    rows = R.take((i, j), axis=0)
+    new = rows * ratio
+    new -= rows
+    return s + float(np.add.reduce(new, axis=None))
 
 
 def warm_up() -> None:

@@ -81,8 +81,9 @@ def _cmd_generate(args) -> int:
     missing = ["--" + name.replace("_", "-") for name in needs if getattr(args, name) is None]
     if missing:
         raise LhdError(f"{generator} needs {' and '.join(missing)}")
+    lio.check_writable(args.output)
+    lio.check_writable(lio.sidecar_path(args.output))
     X = build(args)
-    out = lio.write_design(args.output, X)
     meta = {
         "generator": generator,
         "parameters": {name: getattr(args, name) for name in records},
@@ -92,6 +93,7 @@ def _cmd_generate(args) -> int:
         "stream": args.stream,
         "criteria": _standard_criteria(X),
     }
+    out = lio.write_design(args.output, X)
     lio.write_json(lio.sidecar_path(out), meta)
     print(out)
     return 0
@@ -122,8 +124,9 @@ def run_search_from_args(args) -> S.SearchResult:
 
 
 def _cmd_search(args) -> int:
+    lio.check_writable(args.output, args.trace)
+    lio.check_writable(lio.sidecar_path(args.output))
     result = run_search_from_args(args)
-    out = lio.write_design(args.output, result.best)
     meta = {
         "value": result.value,
         "evaluations_used": result.evaluations_used,
@@ -134,6 +137,7 @@ def _cmd_search(args) -> int:
     }
     if result.extras:
         meta["extras"] = result.extras
+    out = lio.write_design(args.output, result.best)
     lio.write_json(lio.sidecar_path(out), meta)
     if args.trace:
         lio.write_trace(args.trace, result.trace)
@@ -174,6 +178,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    lio.check_writable(args.output, args.summary)
     spec = bench.BenchmarkSpec.from_json(args.spec)
     rows, summary = bench.run_benchmark(spec, workers=args.workers)
     bench.write_rows_csv(args.output, rows, bench.RESULT_COLUMNS)

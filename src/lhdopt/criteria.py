@@ -430,37 +430,39 @@ class _CorrState:
 
 
 class _MaxproState(_PairSum):
-    """maxpro state: a k x n float64 transposed copy ``XT`` of the design,
-    its pair gap products ``P`` and the pair sum ``s`` of their reciprocals,
-    under the drift policy of ``_PairSum``.  A commit recomputes rows and
-    columns i, j of ``P`` from ``XT``, so ``P`` never drifts.  ``s`` takes
-    no floor: it is about 1e-86 at 300 x 30 and 1e-167 at 500 x 50, so a
-    floor of 1/_RANGE would recompute it on every commit."""
+    """maxpro state: the int64 transposed design ``XT``, the reciprocals ``R``
+    of its pair gap products (zero diagonal), the table ``G[u, v] = (u - v)^2``
+    with a diagonal of 1 and the pair sum ``s`` of ``R``, under the drift
+    policy of ``_PairSum``.  A commit rebuilds rows and columns i, j of ``R``
+    exactly from ``XT``, so ``R`` never drifts.  ``s`` takes no floor: it is
+    1e-86 at 300 x 30, so a floor of 1/_RANGE would resum on every commit."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
-        self.npairs, self.k = n * (n - 1) // 2, k
-        self.XT = X.T.astype(np.float64)
-        self.P = _kernels.pair_matrix(_kernels.pair_gap_products(self.XT), n)
+        self.pairs, self.k = _kernels.pair_indices(n), k
+        self.XT = X.T.copy()
+        self.R = _kernels.pair_matrix(1.0 / _kernels.pair_gap_products(X.T.astype(np.float64)), n)
+        self.G = _kernels.level_table(n, 2) + np.eye(n + 1)
+        self.G.setflags(write=False)
         self._resum()
 
     def _exact(self) -> float:
-        n = len(self.P)
-        return _maxpro_total(_kernels.reciprocal_sum(self.P[_kernels.pair_indices(n)]), n, self.k)
+        r = self.R[self.pairs]  # 0.0 where a pair product overflowed
+        return _maxpro_total(float(r.sum()) if r.min() else math.inf, len(self.R), self.k)
 
     def _value(self, s: float) -> float:
-        return (s / self.npairs) ** (1.0 / self.k)
+        return (s / self.pairs[0].size) ** (1.0 / self.k)
 
     def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        return _kernels.maxpro_delta(self.P, self.XT[col], i, j, self.s)
+        return _kernels.maxpro_delta(self.R, self.G, self.XT[col], i, j, self.s)
 
     _full = staticmethod(maxpro_psi)
 
     def _update(self, col: int, i: int, j: int) -> None:
-        XT, P = self.XT, self.P
+        XT, R = self.XT, self.R
         XT[col, i], XT[col, j] = XT[col, j], XT[col, i]
-        P[i], P[j] = _kernels.gap_products(XT.take((i, j), axis=1), XT)
-        P[:, i], P[:, j] = P[i], P[j]
+        R[i], R[j] = _kernels.reciprocal_rows(XT, i, j)
+        R[:, i], R[:, j] = R[i], R[j]
 
 
 class _ComboState:

@@ -9,6 +9,7 @@ with sorted keys so byte-level comparisons are stable.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,15 @@ def write_text(path: str | Path, text: str) -> Path:
     except OSError as e:
         raise LhdError(f"cannot write {path}: {e}") from e
     return path
+
+
+def check_writable(*paths: str | Path | None) -> None:
+    """Raise the ``LhdError`` of a failed write, before any work is done, for
+    an output path (``None`` skipped) that is a directory or that is not
+    writable, or whose directory is missing or not writable."""
+    for path in (Path(p) for p in paths if p is not None):
+        if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise LhdError(f"cannot write {path}: not a writable file in a writable directory")
 
 
 def write_design(path: str | Path, design: np.ndarray) -> Path:

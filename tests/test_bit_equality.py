@@ -113,8 +113,32 @@ def ref_phi_delta(S, W, x, i, j, q):
     return float((W.take(new, mode="clip") - W[rows]).sum()), new
 
 
+def ref_reciprocals(X):
+    """1 / ``ref_gap_products`` with a zero diagonal."""
+    with np.errstate(divide="ignore"):
+        R = 1.0 / ref_gap_products(X, X)
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def ref_maxpro_new_sum(R, X, col, i, j, s):
+    """Two 1-D rows of ``R`` times explicit ratio vectors, the ratios masked
+    to 1 outside the pairs the swap changes, summed as one 2n vector."""
+    n = X.shape[0]
+    mask = np.ones(n, dtype=bool)
+    mask[i] = mask[j] = False
+    x = X[:, col].astype(np.float64)
+    gi2 = (x[i] - x) ** 2
+    gj2 = (x[j] - x) ** 2
+    ratio_i, ratio_j = np.ones(n), np.ones(n)
+    ratio_i[mask] = gi2[mask] / gj2[mask]
+    ratio_j[mask] = gj2[mask] / gi2[mask]
+    change = np.concatenate([R[i] * ratio_i - R[i], R[j] * ratio_j - R[j]])
+    return s + float(change.sum())
+
+
 def ref_maxpro_delta(P, X, col, i, j, s):
-    """Two masked 1-D rows of ``P``, one 1-D sum each."""
+    """The pair-product form: two masked 1-D rows of ``P``, one 1-D sum each."""
     mask = np.ones(X.shape[0], dtype=bool)
     mask[i] = mask[j] = False
     x = X[:, col]
@@ -339,18 +363,24 @@ def test_phi_delta_past_table_end_equals_reference(q):
 @given(swaps())
 def test_maxpro_state_equals_reference(case):
     X, col, i, j = case
+    n = X.shape[0]
     state = _MaxproState(X, CriterionSpec("maxpro"))
-    P = ref_gap_products(X, X)
-    assert np.array_equal(state.P, P)
-    want = ref_maxpro_delta(P, X, col, i, j, state.s)
+    assert np.array_equal(state.R, ref_reciprocals(X))
+    u = np.arange(n + 1)
+    assert not state.G.flags.writeable
+    assert np.array_equal(state.G, (u[:, None] - u) ** 2 + np.eye(n + 1))
+    want = ref_maxpro_new_sum(state.R, X, col, i, j, state.s)
     state.propose(X, col, i, j)
     assert state.new == want
-    # the commit recomputes rows i, j as the reference does after the swap
+    # the pair-product form agrees to rounding
+    old = ref_maxpro_delta(ref_gap_products(X, X), X, col, i, j, state.s)
+    assert state.new == pytest.approx(old, rel=1e-13, abs=0.0)
+    # the commit rebuilds rows and columns i, j as a fresh state holds them
     state.commit(col, i, j)
     Y = X.copy()
     Y[[i, j], col] = Y[[j, i], col]
-    assert np.array_equal(state.P[[i, j]], ref_gap_products(Y[[i, j]], Y))
-    assert np.array_equal(state.P, ref_gap_products(Y, Y))
+    assert np.array_equal(state.XT, Y.T)
+    assert np.array_equal(state.R, ref_reciprocals(Y))
 
 
 @SETTINGS

@@ -282,6 +282,15 @@ class TestSearch:
                     "-o", str(tmp_path / "x.csv"), "--trace", str(trace)]) == 2
         assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {trace}: ")
 
+    def test_unwritable_trace_leaves_no_output(self, tmp_path, capsys):
+        # every output path is checked before the search runs, so a failed
+        # command writes neither the design nor its sidecar
+        out, trace = tmp_path / "x.csv", tmp_path / "no-such-dir" / "t.csv"
+        assert run(["search", "-n", "6", "-k", "3", "--alg", "sa", "--budget", "100",
+                    "-o", str(out), "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {trace}: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("t0", ["nan", "inf"])
     def test_non_finite_t0_exits_2(self, tmp_path, capsys, t0):
         out = tmp_path / "x.csv"
@@ -322,3 +331,14 @@ class TestEvaluate:
         assert run(["generate", "--random", "-n", "7", "-k", "3", "--seed", "5",
                     "-o", str(out)]) == 0
         assert run(["evaluate", str(out)]) == 0
+
+
+class TestBenchmark:
+    def test_unwritable_summary_leaves_no_output(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"grid": [[4, 2]], "algorithms": ["sa"], "replications": 1,
+                                    "budget": 100, "base_seed": 1}))
+        out, summary = tmp_path / "r.csv", tmp_path / "no-such-dir" / "s.csv"
+        assert run(["benchmark", str(spec), "-o", str(out), "--summary", str(summary)]) == 2
+        assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {summary}: ")
+        assert list(tmp_path.iterdir()) == [spec]

@@ -370,20 +370,25 @@ class TestInvariances:
 
 
 class TestDeltaAfterExchange:
+    @staticmethod
+    def both_paths(X, spec, c, i, j):
+        """The full path and the incremental one of the exchanged design."""
+        return (delta_after_exchange(X, spec, c, i, j),
+                Evaluator(X, pin_upper(spec, exchange(X, c, i, j))).propose(c, i, j))
+
     def test_identity_move(self, gen):
+        # i == j leaves the design as it is, on the maxpro kernel's i == j path too
         X = random_design(gen, 6, 3)
-        spec = CriterionSpec("phi_p")
-        assert delta_after_exchange(X, spec, 1, 2, 2) == pytest.approx(
-            phi_p(X), rel=1e-12
-        )
+        for spec in (CriterionSpec("phi_p"), CriterionSpec("maxpro")):
+            for got in self.both_paths(X, spec, 1, 2, 2):
+                assert got == pytest.approx(evaluate(X, spec), rel=1e-12), spec.kind
 
     def test_two_run_swap(self):
         X = np.array([[1, 1], [2, 2]])
         spec = CriterionSpec("phi_p")
         swapped = exchange(X, 1, 0, 1)
-        assert delta_after_exchange(X, spec, 1, 0, 1) == pytest.approx(
-            phi_p(swapped), rel=1e-12
-        )
+        for got in self.both_paths(X, spec, 1, 0, 1):
+            assert got == pytest.approx(phi_p(swapped), rel=1e-12)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_levels_beyond_n(self, q):
@@ -411,8 +416,7 @@ class TestDeltaAfterExchange:
             i, j = int(gen.integers(n)), int(gen.integers(n))
             for spec in specs:
                 want = evaluate(exchange(X, c, i, j), spec)
-                for got in (delta_after_exchange(X, spec, c, i, j),
-                            Evaluator(X, pin_upper(spec, exchange(X, c, i, j))).propose(c, i, j)):
+                for got in self.both_paths(X, spec, c, i, j):
                     assert got == pytest.approx(want, rel=1e-10)
 
     def test_unpinned_combo_scales_by_the_exchanged_design(self):
@@ -420,7 +424,8 @@ class TestDeltaAfterExchange:
         spec = CriterionSpec("combo", weight=0.5)
         want = evaluate(exchange(X, 0, 1, 2), spec)
         assert want == pytest.approx(0.55348, abs=1e-5)
-        assert delta_after_exchange(X, spec, 0, 1, 2) == pytest.approx(want, rel=1e-10)
+        for got in self.both_paths(X, spec, 0, 1, 2):
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_evaluator_long_run_agreement(self, gen):
         # a long accept/reject stream must not drift away from full evaluation

@@ -1,10 +1,10 @@
 """Property tests of the incremental evaluator's cached per-pair state.
 
 A stream of proposals, some committed and some not (including the no-op
-swap i == j), must leave the cached pair distances, transposed design, gap
-products and pair Gram vector exactly equal to those of a fresh evaluator
-on the same design, and every proposal must agree with full evaluation,
-over phi_p exponents 1..400 and both distances.  The running pair sums of
+swap i == j), must leave the cached pair distances, transposed design,
+reciprocal gap products and pair Gram vector exactly equal to those of a
+fresh evaluator on the same design, and every proposal must agree with
+full evaluation, over phi_p exponents 1..400 and both distances.  The running pair sums of
 phi_p and maxpro must stay within 1e-10 of their full values, also when
 a swap cancels most of the sum.
 """
@@ -22,7 +22,7 @@ from lhdopt.errors import InvalidDesignError
 
 CACHES = {
     "phi_p": ("state.S",),
-    "maxpro": ("state.XT", "state.P"),
+    "maxpro": ("state.XT", "state.R"),
     "avgcor": ("state.g",),
     "maxcor": ("state.g",),
     "combo": ("state.phi.S", "state.corr.g"),
@@ -148,7 +148,7 @@ def test_running_sum_matches_its_recomputation(spec):
         ev.commit(col, i, j)
         longest = max(longest, state.since)
         if spec.kind == "maxpro":
-            exact = float((1.0 / state.P[pairs]).sum())
+            exact = float(state.R[pairs].sum())
         else:
             exact = float(state.W.take(state.S).sum()) / 2.0
         assert state.s == pytest.approx(exact, rel=1e-12)

@@ -92,7 +92,7 @@ GOLDEN = {
     'oasa-OA(25,6,5,2)': ('0.03945502137471287', '18cd467acc9a31687258c719dec8d2a58f10ec47', '02cebaa71d20cc82795092da444fb96802c65d7d', 2000),
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),
     'sa-maxcor': ('0.055944055944055944', '9d55895a2c66f415f7fc4fc42e93478a1860d60b', '42624b452e98e4daeac0e2ca6c4bb5eb1e0d8ed9', 2000),
-    'sa-maxpro': ('0.11133711034466176', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '8121ff97626de2e2e04d3df1a21452d3ff835a28', 3000),
+    'sa-maxpro': ('0.11133711034466172', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '8fa63384ff57f33b97c178bb32dec7d700f94281', 3000),
     'sa-multiobj-w0.5': ('0.10496269815901585', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', 'c14adb436ee31f2819a5bff7ef38ab8a4327a40c', 2000),
     'sa-phi_p-q1': ('0.08828957155093273', 'afeec13a750c6ad688d8b3bb9f31d00dedbfc446', '13fa4aa7171ab0ea51600344fbc2c4afb1efc4ec', 3000),
     'sa-phi_p-q2': ('0.15069022945558147', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', '478b6d0d9670d36a58a9004cd9369ac31dd537d6', 3000),
@@ -147,7 +147,7 @@ CLI_GOLDEN = {
     'lapso-maxpro': ('70b47b936c09047699454244c745ef46ff7abae1', '1adef19a65b6ffb29ef187c1e1ab166d954c9d97', '2a368510831579b095586e2df82936c9974ddc58'),
     'oasa': ('906d572a8babd8830a084b822c586f1fd02bb39a', '6b797d4cf4a38749312f5b5cf7e81a90245be455', 'c7360211e8a290f666fbe9d66af6f885ab24a053'),
     'sa-combo': ('4f235e6f518021784aafe5ea13065ae24f01690e', '356a6f41067c7d2dcba3fe9b9207eddf5005a6c7', '908ae169dc223bab9420f696f062c70e92fad36c'),
-    'sa-maxpro-random-t0': ('9570e220c5e5f855127436295a727ab509e2b622', 'd5d0cee7b5f3c0e7f433aff178087fa968121bf0', '6d66dcef393f9719a9136953f6df0e41d6ebfcc7'),
+    'sa-maxpro-random-t0': ('9570e220c5e5f855127436295a727ab509e2b622', '787b7f21b8248640dc1bf214544e574e13ed65bc', '6d66dcef393f9719a9136953f6df0e41d6ebfcc7'),
     'sa-multiobj': ('613e995d30c414a946698d45c38d3c69aed9c4cc', 'b573264e89a1a713441a258e6d3566c76127e394', '630ba69fdc98820663dca8e1f301a2c503cca8b8'),
     'sa-phi_p': ('5310f97419b9ceb6109f3d840417745c1c988fcd', 'e9d68af05ecaf8b9fa813fdb22902f8b78cb2e0b', '34fedad948f59a54bf66bf054bb71fa3d9fdf719'),
     'sa-phi_p-q2': ('6a063821732fcbda7e153f7773d4038f6331feb9', '37546c14cf159b7daf7216641b0ef9ea12880772', '3cba6b29d2612a7e9229848df547c7b2e663c2d2'),
@@ -176,7 +176,7 @@ BENCH_WORKERS = {"five-algorithms": ("1", "2"), "oasa": ("1",)}
 # name -> sha1 of (results CSV without elapsed_ms, summary CSV)
 BENCH_GOLDEN = {
     'five-algorithms': ('439665431d3896510d067179899c391457aef9bc', '57589c698f6b7663362b7f692c6ee7684b12a0b1'),
-    'oasa': ('26dce2af7343e342fedefc8bf8fdfd96a766821c', '868818caa9c8d2c60caf5d4c2c9ac27c54099ad0'),
+    'oasa': ('94380cbbc31720e13f1b55bd6d2e70c0e75f36e3', 'b401c516d9034eed55f790de1461d855c547c856'),
 }
 
 
