@@ -100,11 +100,6 @@ def pair_matrix(v: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
-def gap_power_sums(X: np.ndarray, q: int) -> np.ndarray:
-    """n x n int64 matrix of the ``pair_gap_sums`` of X."""
-    return pair_matrix(pair_gap_sums(X, q), X.shape[0])
-
-
 def pair_distances(X: np.ndarray, q: int) -> np.ndarray:
     """float64 pair distances, in ``pair_indices`` order, from exact int64 sums."""
     d = pair_gap_sums(X, q).astype(np.float64)
@@ -135,7 +130,8 @@ def phi_stable(X: np.ndarray, p: float, q: int) -> float:
 def phi_weights(size: int, dref: int, e: float) -> np.ndarray:
     """Weight table W[d] = (dref/d)^e for the integer distances d < size.
 
-    ``W[0]`` is 0.0, the weight of the zero diagonal of ``gap_power_sums``.
+    ``W[0]`` is 0.0, the weight of the zero diagonal of the pair matrix of
+    ``pair_gap_sums``.
     Weights that would exceed 2^900 (distances far below ``dref``) are capped
     there, so the table holds no ``inf`` and a weighted count sum cannot
     overflow or meet ``0 * inf``.
@@ -165,11 +161,12 @@ def phi_delta(S: np.ndarray, W: np.ndarray, L: np.ndarray, x: np.ndarray,
     """Change of the weighted pair sum when rows i, j swap their entries of
     the column ``x``, and rows i, j of ``S`` after the swap.
 
-    ``S`` is the int64 ``gap_power_sums`` of the design before the swap,
-    ``W`` a ``phi_weights`` table and ``L`` the ``level_table`` of the
-    design's q, which ``x``, a column of levels 1..n, indexes.  Against each
-    other row l, row i trades |x_i - x_l|^q for |x_j - x_l|^q, a change
-    ``delta[l]`` read off rows x_j and x_i of ``L``, and row j the reverse.
+    ``S`` is the int64 ``pair_matrix`` of the ``pair_gap_sums`` of the design
+    before the swap, ``W`` a ``phi_weights`` table and ``L`` the
+    ``level_table`` of the design's q, which ``x``, a column of levels 1..n,
+    indexes.  Against each other row l, row i trades |x_i - x_l|^q for
+    |x_j - x_l|^q, a change ``delta[l]`` read off rows x_j and x_i of ``L``,
+    and row j the reverse.
     ``delta`` is set to 0 at i and j, and ``W[0]`` weights the diagonal, so
     the gather over both full rows adds exactly 0 for every pair the swap
     leaves unchanged; no mask is needed.  A new distance past the end of

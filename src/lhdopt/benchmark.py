@@ -20,7 +20,7 @@ import numpy as np
 from . import search as S
 from .criteria import CriterionSpec
 from .errors import InvalidConfigError, as_int
-from .io import read_json, write_text
+from .io import read_json
 from .rng import RngStream
 
 RESULT_COLUMNS = ("algorithm", "n", "k", "criterion", "rep", "seed", "stream",
@@ -159,17 +159,6 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> tuple[list[dict], li
             "mean": float(arr.mean()), "sd": sd, "best": float(arr.min()),
         })
     return rows, summary
-
-
-def write_rows_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:
-    lines = [",".join(columns)]
-    for r in rows:
-        cells = []
-        for c in columns:
-            v = r[c]
-            cells.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    write_text(path, "\n".join(lines) + "\n")
 
 
 def format_summary_table(summary: list[dict]) -> str:

@@ -181,9 +181,9 @@ def _cmd_benchmark(args) -> int:
     lio.check_writable(args.output, args.summary)
     spec = bench.BenchmarkSpec.from_json(args.spec)
     rows, summary = bench.run_benchmark(spec, workers=args.workers)
-    bench.write_rows_csv(args.output, rows, bench.RESULT_COLUMNS)
+    lio.write_rows_csv(args.output, rows, bench.RESULT_COLUMNS)
     if args.summary:
-        bench.write_rows_csv(args.summary, summary, bench.SUMMARY_COLUMNS)
+        lio.write_rows_csv(args.summary, summary, bench.SUMMARY_COLUMNS)
     print(bench.format_summary_table(summary))
     return 0
 

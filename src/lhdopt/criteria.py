@@ -352,7 +352,7 @@ class _PhiState(_PairSum):
         self.q = int(spec.q)
         self.p = float(spec.p)
         self.e = self.p if self.q == 1 else self.p / 2.0
-        self.S = _kernels.gap_power_sums(X, self.q)
+        self.S = _kernels.pair_matrix(_kernels.pair_gap_sums(X, self.q), n)
         self.L = _kernels.level_table(n, self.q)
         self.pairs = _kernels.pair_indices(n)
         self.reach = k * (n - 1) ** self.q

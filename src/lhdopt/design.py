@@ -98,10 +98,12 @@ def exchange(design: np.ndarray, column: int, i: int, j: int) -> np.ndarray:
     """Copy of the design with rows i and j swapped within one column.
 
     The input is left unmodified; applying the same exchange twice restores
-    the original design.
+    the original design.  An index that is not an integer (a float or a
+    bool) raises ``IndexOutOfRangeError``, as one out of range does.
     """
     out = as_design(design).copy()
     n, k = out.shape
+    column, i, j = (as_int(v, "an index", IndexOutOfRangeError) for v in (column, i, j))
     if not 0 <= column < k:
         raise IndexOutOfRangeError(f"column {column} outside 0..{k - 1}")
     if not (0 <= i < n and 0 <= j < n):

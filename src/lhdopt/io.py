@@ -76,10 +76,23 @@ def read_json(path: str | Path) -> dict:
         raise LhdError(f"cannot read JSON {path}: {e}") from e
 
 
-def write_trace(path: str | Path, trace: list[tuple[int, float]]) -> Path:
-    lines = ["evaluation_index,best_value"]
-    lines += [f"{idx},{val!r}" for idx, val in trace]
+def _cell(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def write_rows_csv(path: str | Path, rows: list[dict], columns: tuple[str, ...]) -> Path:
+    """A header of ``columns``, then each row's values in that order; a float
+    is written as its ``repr``, which reads back to the same value."""
+    lines = [",".join(columns)]
+    lines += [",".join(_cell(r[c]) for c in columns) for r in rows]
     return write_text(path, "\n".join(lines) + "\n")
+
+
+TRACE_COLUMNS = ("evaluation_index", "best_value")
+
+
+def write_trace(path: str | Path, trace: list[tuple[int, float]]) -> Path:
+    return write_rows_csv(path, [dict(zip(TRACE_COLUMNS, row)) for row in trace], TRACE_COLUMNS)
 
 
 def read_oa(path: str | Path) -> OrthogonalArray:

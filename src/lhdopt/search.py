@@ -6,10 +6,10 @@ and returning the best design seen (never the final state).  Randomness is
 consumed in a documented order per algorithm, so seeded runs are exactly
 reproducible; wall time is reported but excluded from that guarantee.
 
-Every optimizer accepts an ``inspect`` callback that receives each full
-design it visits (start and candidates; the sliced annealer reports the
-assembled design whenever it changes) -- the structural tests use it to
-check closure properties move by move.
+The searches reach ``Evaluator`` and ``crit.evaluate`` through module
+attributes when they run, so a wrapper installed on
+``lhdopt.search.Evaluator`` or ``lhdopt.criteria.evaluate`` sees every
+design a run evaluates; the tests and the profiler observe runs that way.
 
 ``run`` is the one dispatch from an algorithm name to its search, used by
 the CLI, the benchmark and replay; ``NEEDS`` lists what each one takes.
@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import compress
 from operator import ne
-from typing import Callable
 
 import numpy as np
 
@@ -48,8 +47,6 @@ NEEDS = {
     "lapso": ("n", "k"),
 }
 ALGORITHMS = tuple(NEEDS)
-
-Inspect = Callable[[np.ndarray], None] | None
 
 
 @dataclass
@@ -229,8 +226,7 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _sa_loop(ev: Evaluator, run: _Run, propose, inspect: Inspect = None,
-             on_commit=None) -> None:
+def _sa_loop(ev: Evaluator, run: _Run, propose, on_commit=None) -> None:
     """Anneal until the run's budget runs out.
 
     Per move: the column cycles 0..k-1 (or is a uniform draw when
@@ -251,10 +247,6 @@ def _sa_loop(ev: Evaluator, run: _Run, propose, inspect: Inspect = None,
     while not run.exhausted():
         col = move % k if cycle else draws.below(k)
         i, j = propose(col)
-        if inspect is not None:
-            Xc = ev.X.copy()
-            Xc[i, col], Xc[j, col] = Xc[j, col], Xc[i, col]
-            inspect(Xc)
         cand = ev.propose(col, i, j)
         delta = cand - cur
         accept = delta <= 0.0
@@ -271,17 +263,13 @@ def _sa_loop(ev: Evaluator, run: _Run, propose, inspect: Inspect = None,
             t *= config.alpha
 
 
-def _init_sa(design: np.ndarray, spec: CriterionSpec, run: _Run,
-             inspect: Inspect) -> Evaluator:
-    if inspect is not None:
-        inspect(np.asarray(design))
+def _init_sa(design: np.ndarray, spec: CriterionSpec, run: _Run) -> Evaluator:
     ev = Evaluator(design, spec)
     run.record(ev.value(), ev.X)
     return ev
 
 
-def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
-              inspect: Inspect = None) -> SearchResult:
+def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
     """Simulated annealing from a random start.
 
     Columns are picked by cycling 0..k-1 (or uniformly when
@@ -290,13 +278,12 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     """
     _check_algorithm(config, "sa", "sa-multiobj")
     run = _Run(config)
-    ev = _init_sa(random_lhd(n, k, run.draws), spec, run, inspect)
-    _sa_loop(ev, run, lambda col: two_distinct(run.draws, n), inspect)
+    ev = _init_sa(random_lhd(n, k, run.draws), spec, run)
+    _sa_loop(ev, run, lambda col: two_distinct(run.draws, n))
     return run.result(_echo(config, ev.spec, n, k))
 
 
-def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfig,
-                inspect: Inspect = None) -> SearchResult:
+def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
     """OA-based annealing: start from the deterministic expansion of ``oa``
     and only swap positions that hold the same source symbol, so every
     visited design still collapses back to the array.
@@ -304,7 +291,7 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     _check_algorithm(config, "oasa")
     run = _Run(config)
     draws = run.draws
-    ev = _init_sa(oa_to_lhd(oa), spec, run, inspect)
+    ev = _init_sa(oa_to_lhd(oa), spec, run)
     n, k = oa.N, oa.K
     groups = [
         [np.nonzero(oa.cells[:, c] == m)[0] for m in range(1, oa.s + 1)]
@@ -320,12 +307,11 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
             j = int(grp[-1])
         return i, j
 
-    _sa_loop(ev, run, propose, inspect)
+    _sa_loop(ev, run, propose)
     return run.result(_echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength]))
 
 
 def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
-                       inspect: Inspect = None,
                        p: int = 15, q: int = 1) -> SearchResult:
     """Annealing on the weighted combination w*(avg squared correlation) +
     (1-w)*(normalized phi_p); the normalization upper proxy is the starting
@@ -338,7 +324,7 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
     if config.weight is not None and config.weight != w:
         raise InvalidConfigError(f"config.weight {config.weight} differs from w = {w}")
     spec = CriterionSpec("combo", p=p, q=q, weight=w)
-    result = sa_search(n, k, spec, config, inspect)
+    result = sa_search(n, k, spec, config)
     best = result.best
     result.extras = {
         "avg_sq_cor": crit.avg_sq_cor(best),
@@ -350,7 +336,7 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
 
 
 def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
-                     config: OptimizerConfig, inspect: Inspect = None) -> SearchResult:
+                     config: OptimizerConfig) -> SearchResult:
     """Two-stage annealing for sliced LHDs.
 
     Stage 1 spends half the budget optimizing each slice independently as an
@@ -380,8 +366,6 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         for s in range(t):
             order = permutation(draws, m) - 1
             X[slice_rows[s], c] = fine[s, order]
-    if inspect is not None:
-        inspect(X.copy())
 
     # stage 1: per-slice annealing on the collapsed m-run designs, each on its
     # own share of the budget; one evaluation is reserved for the full design
@@ -393,16 +377,14 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         def apply_to_full(col: int, i: int, j: int) -> None:
             ri, rj = rows[i], rows[j]
             X[ri, col], X[rj, col] = X[rj, col], X[ri, col]
-            if inspect is not None:
-                inspect(X.copy())
 
         sub = _Run(config, per_slice, draws)
-        collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub, None)
+        collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub)
         _sa_loop(collapsed, sub, lambda col: two_distinct(draws, m), on_commit=apply_to_full)
         run.used += sub.used  # collapsed evals count, best is full-design only
 
     # stage 2: same-bin cross-slice swaps on the assembled design
-    ev = _init_sa(X, spec, run, inspect)
+    ev = _init_sa(X, spec, run)
     rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
     def propose(col: int):
@@ -414,7 +396,7 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         rowof[col][ev.X[i, col] - 1] = i
         rowof[col][ev.X[j, col] - 1] = j
 
-    _sa_loop(ev, run, propose, inspect, relink)
+    _sa_loop(ev, run, propose, relink)
     return run.result(_echo(config, ev.spec, n, k, slices={"t": t, "m": m}),
                       {"stage1_evaluations": min(stage1_budget, run.used)})
 
@@ -424,8 +406,8 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
 # ---------------------------------------------------------------------------
 
 
-def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, run: _Run,
-                   inspect: Inspect) -> tuple[list, list, CriterionSpec]:
+def _random_starts(count: int, n: int, k: int, spec: CriterionSpec,
+                   run: _Run) -> tuple[list, list, CriterionSpec]:
     """Up to ``count`` random designs, their values and the spec they are of:
     a combo spec without U gets the first design's phi_p, as an annealer
     takes its start's.  A design is drawn before the budget is checked."""
@@ -434,8 +416,6 @@ def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, run: _Run,
         X = np.array(random_lhd(n, k, run.draws))
         if run.exhausted():
             break
-        if inspect is not None:
-            inspect(X.copy())
         spec = crit.pin_upper(spec, X)
         v = crit.evaluate(X, spec)
         run.record(v, X)
@@ -444,8 +424,7 @@ def _random_starts(count: int, n: int, k: int, spec: CriterionSpec, run: _Run,
     return designs, vals, spec
 
 
-def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
-              inspect: Inspect = None) -> SearchResult:
+def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
     """Genetic algorithm focused on the incumbent best.
 
     Each generation keeps the best design unchanged (elite) and rebuilds every
@@ -460,7 +439,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     draws = run.draws
     pop_size = config.population
     pmut = config.pmut if config.pmut is not None else 0.25
-    pop, vals, spec = _random_starts(pop_size, n, k, spec, run, inspect)
+    pop, vals, spec = _random_starts(pop_size, n, k, spec, run)
 
     while not run.exhausted():
         elite = int(np.argmin(vals))
@@ -478,8 +457,6 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
                 if draws.random() < pmut:
                     i, j = two_distinct(draws, n)
                     child[i, c], child[j, c] = child[j, c], child[i, c]
-            if inspect is not None:
-                inspect(child.copy())
             v = crit.evaluate(child, spec)
             run.record(v, child)
             new_pop.append(child)
@@ -516,8 +493,7 @@ def match_swaps(cur: list, where: list, target: list, count: int, draws: Draws) 
             del diff[bisect.bisect_left(diff, r2)]
 
 
-def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
-                 inspect: Inspect = None) -> SearchResult:
+def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
     """Swap-based particle swarm: per column, each particle performs up to
     same-num-p swaps toward its personal best, then up to same-num-g swaps
     toward the global best, then one random swap with probability pmut.
@@ -530,7 +506,7 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
     _check_algorithm(config, "lapso")
     run = _Run(config)
     draws = run.draws
-    particles, pvals, spec = _random_starts(config.swarm, n, k, spec, run, inspect)
+    particles, pvals, spec = _random_starts(config.swarm, n, k, spec, run)
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
     sng = config.same_num_g if config.same_num_g is not None else math.ceil(n / 4)
     pmut = config.pmut if config.pmut is not None else 1.0 / k  # k >= 1: random_lhd checks it
@@ -558,8 +534,6 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig,
                     i, j = two_distinct(draws, n)
                     cur[i], cur[j] = cur[j], cur[i]
             X = particles[pi] = np.array(cols, dtype=np.int64).T.copy()
-            if inspect is not None:
-                inspect(X.copy())
             v = crit.evaluate(X, spec)
             run.record(v, X)
             if v < pvals[pi]:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_design
+from conftest import check_sliced_visits, random_design
 from lhdopt import _kernels
 from lhdopt import (
     CriterionSpec,
@@ -28,7 +28,6 @@ from lhdopt import (
     exchange,
     ga_search,
     good_oa_catalog,
-    is_slice_valid,
     lapso_search,
     make_slices,
     max_abs_cor,
@@ -180,30 +179,28 @@ class TestAcceptance:
         report(3, ok, f"{len(names)} arrays x 101 fills round-trip, {elapsed:.2f}s (< {time_limit(2.0):g} s)")
         assert elapsed < time_limit(2.0)
 
-    def test_criterion_4_structural_preservation(self):
+    def test_criterion_4_structural_preservation(self, visited):
         """Restricted moves keep OA-collapsibility / slice validity at every
         visited design."""
         t0 = time.perf_counter()
         oa = good_oa_catalog("OA(9,4,3,2)")
-        visited = []
         oasa_search(oa, PHI, OptimizerConfig(algorithm="oasa", max_evaluations=1000,
-                                             seed=RngStream(1)), inspect=visited.append)
-        assert len(visited) == 1000
+                                             seed=RngStream(1)))
+        n_oa = len(visited)
+        assert n_oa == 1000
         for X in visited:
             assert validate(X).ok
             assert np.array_equal(collapse_to_oa(X, oa.s), oa.cells)
 
         slices = make_slices(8, 2)
-        visited2 = []
         sliced_sa_search(slices, 3, PHI,
                          OptimizerConfig(algorithm="sa-sliced", max_evaluations=1000,
-                                         seed=RngStream(2)), inspect=visited2.append)
-        assert visited2
-        for X in visited2:
-            assert is_slice_valid(X, slices)
+                                         seed=RngStream(2)))
+        n_sliced = check_sliced_visits(visited[n_oa:], visited.evaluators[1:], slices)
+        assert n_sliced == 1000
         elapsed = time.perf_counter() - t0
         ok = elapsed < time_limit(5.0)
-        report(4, ok, f"oasa {len(visited)} + sliced {len(visited2)} designs structurally "
+        report(4, ok, f"oasa {n_oa} + sliced {n_sliced} designs structurally "
                       f"valid, {elapsed:.2f}s (< {time_limit(5.0):g} s)")
         assert elapsed < time_limit(5.0)
 

@@ -2,7 +2,7 @@
 
 The pair-indexed full kernels, the list-based ``match_swaps`` and
 ``permutation`` (drawing from ``rng.Draws``, their references
-from NumPy's ``Generator``), the pair-gathered ``gap_power_sums`` and the
+from NumPy's ``Generator``), the pair-gathered ``pair_gap_sums`` and the
 annealer states' phi_p, maxpro and correlation updates replace slower
 expressions of the same arithmetic and the same draws.  The reference
 forms are kept here, and every check is exact (``==``, not a tolerance):
@@ -313,7 +313,8 @@ def test_pair_indices_cached_and_read_only():
 @SETTINGS
 @given(designs(), st.sampled_from((1, 2)))
 def test_gap_power_sums_equal_reference(X, q):
-    got = _kernels.gap_power_sums(X, q)
+    # the pair-distance matrix ``_PhiState`` starts from
+    got = _kernels.pair_matrix(_kernels.pair_gap_sums(X, q), X.shape[0])
     assert got.dtype == np.int64
     assert np.array_equal(got, ref_gap_power_sums(X, q))
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lhdopt import (
+    CriterionSpec,
     RngStream,
     SliceStructure,
+    delta_after_exchange,
     distance_matrix,
     exchange,
     is_slice_valid,
@@ -96,6 +98,19 @@ class TestExchange:
     def test_out_of_range(self, c, i, j):
         with pytest.raises(IndexOutOfRangeError):
             exchange(np.array([[1, 1], [2, 2], [3, 3]]), c, i, j)
+
+    @pytest.mark.parametrize("c,i,j", [(0.5, 0, 1), (0, True, 1), (0, 1.0, 2)])
+    def test_non_integer_index_is_a_typed_error(self, c, i, j):
+        X = np.array([[1, 1], [2, 2], [3, 3]])
+        with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+            exchange(X, c, i, j)
+        with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+            delta_after_exchange(X, CriterionSpec("phi_p"), c, i, j)
+
+    def test_numpy_integer_indices_are_accepted(self):
+        X = np.array([[1, 1], [2, 2], [3, 3]])
+        out = exchange(X, np.int64(1), np.int32(0), np.uint8(2))
+        assert out.tolist() == exchange(X, 1, 0, 2).tolist() == [[1, 3], [2, 2], [3, 1]]
 
     def test_levels_go_through_the_design_check(self):
         assert exchange([[1.0, 2.0], [2.0, 1.0]], 0, 0, 1).tolist() == [[2, 2], [1, 1]]

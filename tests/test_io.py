@@ -1,4 +1,4 @@
-"""File format round trips: design CSV, JSON sidecars, trace CSV, OA files."""
+"""File format round trips: design CSV, JSON sidecars, trace and results CSV, OA files."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from lhdopt.io import (
     write_design,
     write_json,
     write_oa,
+    write_rows_csv,
     write_trace,
 )
 
@@ -58,6 +59,13 @@ class TestTraceCsv:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "evaluation_index,best_value"
         assert lines[1] == "1,0.5" and lines[2] == "10,0.25"
+
+
+class TestRowsCsv:
+    def test_columns_in_order_and_floats_as_repr(self, tmp_path):
+        rows = [{"b": 0.1 + 0.2, "a": "sa", "n": 6}, {"n": 7, "a": "ga", "b": 1e-300}]
+        p = write_rows_csv(tmp_path / "r.csv", rows, ("a", "n", "b"))
+        assert p.read_bytes() == b"a,n,b\nsa,6,0.30000000000000004\nga,7,1e-300\n"
 
 
 class TestOaFiles:

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from conftest import check_sliced_visits
 from lhdopt import (
     CriterionSpec,
     OptimizerConfig,
@@ -116,11 +117,16 @@ class TestCommonContract:
             r = sliced_sa_search(make_slices(8, 2), 3, spec, cfg("sa-sliced", budget=800))
             assert r.value == pytest.approx(evaluate(r.best, spec), rel=1e-9)
 
-    def test_closure_every_visited_design(self):
-        seen = []
-        sa_search(6, 3, PHI, cfg("sa", budget=300), inspect=seen.append)
-        assert len(seen) == 300  # start + one per proposal
-        assert all(validate(X).ok for X in seen)
+    @pytest.mark.parametrize("alg,kind", [
+        (alg, kind) for alg in S.ALGORITHMS for kind in ("phi_p", "maxpro", "combo")
+        if (alg, kind) != ("sa-multiobj", "maxpro")])
+    def test_closure_every_visited_design(self, alg, kind, visited):
+        # each start and each candidate is evaluated once: one design per evaluation
+        spec = CriterionSpec(kind, weight=0.5) if kind == "combo" else CriterionSpec(kind)
+        weight = 0.5 if alg == "sa-multiobj" else None
+        r = S.run(cfg(alg, budget=300, weight=weight), spec, **RUN_INPUTS[alg])
+        assert r.evaluations_used == len(visited) == 300
+        assert all(validate(X).ok for X in visited)
 
     @pytest.mark.parametrize("alg", sorted(SEARCHES))
     def test_a_config_of_another_algorithm_is_refused_before_any_draw(self, alg, monkeypatch):
@@ -200,11 +206,11 @@ class TestSa:
 
 
 class TestOasa:
-    def test_every_visited_design_collapses(self):
+    def test_every_visited_design_collapses(self, visited):
         oa = good_oa_catalog("OA(9,4,3,2)")
-        seen = []
-        oasa_search(oa, PHI, cfg("oasa", budget=500), inspect=seen.append)
-        for X in seen:
+        oasa_search(oa, PHI, cfg("oasa", budget=500))
+        assert len(visited) == 500
+        for X in visited:
             assert validate(X).ok
             assert np.array_equal(collapse_to_oa(X, oa.s), oa.cells)
 
@@ -270,13 +276,10 @@ class TestSaMultiobj:
 
 
 class TestSlicedSa:
-    def test_every_visited_design_is_slice_valid(self):
+    def test_every_visited_design_is_slice_valid(self, visited):
         slices = make_slices(4, 2)
-        seen = []
-        sliced_sa_search(slices, 2, PHI, cfg("sa-sliced", budget=400), inspect=seen.append)
-        assert seen
-        for X in seen:
-            assert is_slice_valid(X, slices)
+        sliced_sa_search(slices, 2, PHI, cfg("sa-sliced", budget=400))
+        assert check_sliced_visits(visited, visited.evaluators, slices) == 400
 
     def test_result_is_slice_valid(self):
         slices = make_slices(8, 2)
@@ -303,23 +306,22 @@ class TestGa:
         r = ga_search(4, 2, PHI, cfg("ga", budget=10000, seed=2))
         assert r.value == pytest.approx(opt, rel=1e-9)
 
-    def test_no_variation_keeps_identical_population_fixed(self):
+    def test_no_variation_keeps_identical_population_fixed(self, visited):
         # all-identical population with pmut=0: crossover mixes equal columns
-        seen = []
         config = cfg("ga", budget=60, population=4, pmut=0.0)
         # run on n=2, k=1 where only two designs exist; seed the population
         # by monkeypatching is overkill -- instead exploit that crossover of
         # identical parents is the identity and mutation is off, so once the
         # population is uniform it stays uniform; n=2,k=1 reaches uniformity
         # whenever the elite dominates, and every child must equal a parent
-        ga_search(2, 1, PHI, config, inspect=seen.append)
-        assert all(X.tolist() in ([[1], [2]], [[2], [1]]) for X in seen)
+        ga_search(2, 1, PHI, config)
+        assert len(visited) == 60
+        assert all(X.tolist() in ([[1], [2]], [[2], [1]]) for X in visited)
 
-    def test_every_individual_passes_validate(self):
-        seen = []
-        ga_search(6, 3, PHI, cfg("ga", budget=500), inspect=seen.append)
-        assert len(seen) == 500
-        assert all(validate(X).ok for X in seen)
+    def test_every_individual_passes_validate(self, visited):
+        ga_search(6, 3, PHI, cfg("ga", budget=500))
+        assert len(visited) == 500
+        assert all(validate(X).ok for X in visited)
 
     def test_crossover_between_identical_designs_is_identity(self):
         # direct unit check of the documented closure argument
@@ -335,13 +337,13 @@ class TestLapso:
         r = lapso_search(4, 2, PHI, cfg("lapso", budget=10000, seed=5))
         assert r.value == pytest.approx(opt, rel=1e-9)
 
-    def test_stationary_when_no_moves_defined(self):
+    def test_stationary_when_no_moves_defined(self, visited):
         config = cfg("lapso", budget=200, same_num_p=0, same_num_g=0, pmut=0.0)
-        seen = []
-        r = lapso_search(5, 2, PHI, config, inspect=seen.append)
-        firsts = [X.tobytes() for X in seen[:10]]
+        r = lapso_search(5, 2, PHI, config)
+        assert len(visited) == 200
+        firsts = [X.tobytes() for X in visited[:10]]
         # swarm of 10: later sweeps revisit exactly the initial particles
-        for t, X in enumerate(seen):
+        for t, X in enumerate(visited):
             assert X.tobytes() == firsts[t % 10]
         init_vals = [phi_p(np.frombuffer(b, dtype=np.int64).reshape(5, 2)) for b in firsts]
         assert r.value == pytest.approx(min(init_vals), rel=1e-12)
@@ -366,10 +368,10 @@ class TestLapso:
             if count > 0 and h0 > 0:
                 assert h1 < h0
 
-    def test_every_particle_passes_validate(self):
-        seen = []
-        lapso_search(6, 3, PHI, cfg("lapso", budget=400), inspect=seen.append)
-        assert all(validate(X).ok for X in seen)
+    def test_every_particle_passes_validate(self, visited):
+        lapso_search(6, 3, PHI, cfg("lapso", budget=400))
+        assert len(visited) == 400
+        assert all(validate(X).ok for X in visited)
 
 
 class TestRun:
