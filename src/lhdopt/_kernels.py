@@ -6,16 +6,18 @@ gives the same bits on every install.  Callers go through the module
 attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
 ``IMPLEMENTATIONS``.
 
-Every row-pair gap is gathered in one place, ``_pair_gap_blocks``, in k x m
-blocks over the pairs a < b of ``pair_indices(n)``, and each block is
-reduced over its k rows: into exact int64 sums of |gap|^q
-(``pair_gap_sums``) or into squared-gap products in the order l = 0..k-1
-(``pair_gap_products``).  The full-design kernels reduce these pair vectors
-further; the annealer states of ``criteria.Evaluator`` scatter them (or
-their reciprocals) into n x n matrices (``pair_matrix``) that the O(n) delta
-kernels read, with the swapped column taken *before* the swap.  All kernels
-take an int64 design of n >= 2 rows of levels 1..n; a "swap" exchanges rows
-``i`` and ``j`` within column ``col``.
+Every row-pair gap is an int64 difference, gathered for the full design in
+one place, ``_pair_gap_blocks``, in k x m blocks over the pairs a < b of
+``pair_indices(n)``, and each block is reduced over its k rows: into exact
+int64 sums of |gap|^q (``pair_gap_sums``) or into squared-gap products
+(``_gap_products``, which ``reciprocal_rows`` shares).  The annealer states
+of ``criteria.Evaluator`` scatter these pair vectors (or their reciprocals)
+into n x n matrices (``pair_matrix``) that the O(n) delta kernels read.  The
+delta kernels take one column of levels 1..n before the swap,
+``reciprocal_rows`` the k x n transposed design and the others the n x k
+int64 design, of n >= 2 rows and k (max - min)^q < 2^63, so no gap sum wraps
+(``design.as_gap_design``); a "swap" exchanges rows ``i`` and ``j`` within
+column ``col``.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
@@ -41,15 +43,6 @@ import functools
 import math
 
 import numpy as np
-
-
-def reciprocal_rows(XT: np.ndarray, i: int, j: int) -> np.ndarray:
-    """1 / prod_l (x_rl - x_sl)^2 of the transposed int64 design ``XT`` for
-    r in (i, j) and every s, multiplied in the order l = 0..k-1; 0 at s == r."""
-    d = XT.take((i, j), axis=1)[:, :, None] - XT[:, None, :]
-    P = np.multiply.reduce(np.square(d, out=d), axis=0, dtype=np.float64)
-    P[0, i] = P[1, j] = math.inf
-    return np.divide(1.0, P, out=P)
 
 
 # gap bytes per block: 1 MiB blocks ran twice as slow at 200x10 and 500x50
@@ -84,11 +77,22 @@ def pair_gap_sums(X: np.ndarray, q: int) -> np.ndarray:
                            for g in _pair_gap_blocks(X.T)])
 
 
-def pair_gap_products(XT: np.ndarray) -> np.ndarray:
-    """Products prod_l (x_al - x_bl)^2, multiplied in the order l = 0..k-1,
-    of the transposed float64 design ``XT``, in ``pair_indices`` order."""
-    return np.concatenate([np.multiply.reduce(np.square(g, out=g), axis=0)
-                           for g in _pair_gap_blocks(XT)])
+def _gap_products(d: np.ndarray) -> np.ndarray:
+    """Products over axis 0 (l = 0..k-1) of the int64 gaps ``d`` squared in float64."""
+    return np.multiply.reduce(np.square(d, dtype=np.float64), axis=0)
+
+
+def pair_gap_products(X: np.ndarray) -> np.ndarray:
+    """``_gap_products`` of the row pairs of the int64 design ``X``, in ``pair_indices`` order."""
+    return np.concatenate([_gap_products(g) for g in _pair_gap_blocks(X.T)])
+
+
+def reciprocal_rows(XT: np.ndarray, i: int, j: int) -> np.ndarray:
+    """1 / prod_l (x_rl - x_sl)^2 (``_gap_products``) of the transposed int64
+    design ``XT`` for r in (i, j) and every s; 0 at s == r."""
+    P = _gap_products(XT.take((i, j), axis=1)[:, :, None] - XT[:, None, :])
+    P[0, i] = P[1, j] = math.inf
+    return np.divide(1.0, P, out=P)
 
 
 def pair_matrix(v: np.ndarray, n: int) -> np.ndarray:
@@ -185,17 +189,11 @@ def phi_delta(S: np.ndarray, W: np.ndarray, L: np.ndarray, x: np.ndarray,
 def maxpro_sum(X: np.ndarray) -> float:
     """Sum over row pairs of 1 / ``pair_gap_products``; -1.0 if a gap is
     zero, ``inf`` if a pair product overflows float64."""
-    return reciprocal_sum(pair_gap_products(X.T.astype(np.float64)))
-
-
-def reciprocal_sum(pairs: np.ndarray) -> float:
-    """Sum of 1 / pairs over pair products in ``pair_indices`` order; -1.0 if
-    one is zero, ``inf`` if one overflowed float64."""
-    if pairs.size:
-        if pairs.min() == 0.0:
-            return -1.0
-        if pairs.max() == math.inf:
-            return math.inf
+    pairs = pair_gap_products(X)
+    if pairs.min() == 0.0:
+        return -1.0
+    if pairs.max() == math.inf:
+        return math.inf
     return float((1.0 / pairs).sum())
 
 

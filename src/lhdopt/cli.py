@@ -81,8 +81,7 @@ def _cmd_generate(args) -> int:
     missing = ["--" + name.replace("_", "-") for name in needs if getattr(args, name) is None]
     if missing:
         raise LhdError(f"{generator} needs {' and '.join(missing)}")
-    lio.check_writable(args.output)
-    lio.check_writable(lio.sidecar_path(args.output))
+    lio.check_writable(args.output, lio.sidecar_path(args.output))
     X = build(args)
     meta = {
         "generator": generator,
@@ -124,8 +123,7 @@ def run_search_from_args(args) -> S.SearchResult:
 
 
 def _cmd_search(args) -> int:
-    lio.check_writable(args.output, args.trace)
-    lio.check_writable(lio.sidecar_path(args.output))
+    lio.check_writable(args.output, args.trace, lio.sidecar_path(args.output))
     result = run_search_from_args(args)
     meta = {
         "value": result.value,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import _kernels
-from .design import as_design, exchange, rearranged_columns
+from .design import as_design, as_gap_design, exchange, rearranged_columns
 from .errors import (
     DegenerateCoordinateError,
     IndexOutOfRangeError,
@@ -112,7 +112,7 @@ def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
     underflow the pair terms to zero.
     """
     p, q = as_exponents(p, q)
-    return float(_kernels.phi_stable(as_design(design), float(p), q))
+    return float(_kernels.phi_stable(as_gap_design(design, q), float(p), q))
 
 
 def maxpro_psi(design: np.ndarray) -> float:
@@ -121,7 +121,7 @@ def maxpro_psi(design: np.ndarray) -> float:
 
     psi = ((1/C(n,2)) * sum over pairs of prod_l (x_il - x_jl)^-2)^(1/k).
     """
-    X = as_design(design)
+    X = as_gap_design(design, 1)
     n, k = X.shape
     npairs = n * (n - 1) // 2
     return float((_maxpro_total(_kernels.maxpro_sum(X), n, k) / npairs) ** (1.0 / k))
@@ -223,18 +223,19 @@ def phi_p_lower_proxy(n: int, k: int, p: int, q: int) -> float:
     return npairs ** (1.0 / p) / dbar
 
 
-def _phi_scale(n: int, k: int, spec: CriterionSpec, phi: float) -> tuple[float, float]:
-    """(L, U - L) of the normalized phi_p term of ``combo``, with U the
-    spec's ``norm_upper`` or else ``phi``.  U < L would flip the term's
-    sign, so it raises; U == L (an equidistant design as U, e.g. any
-    2-run design) makes the term 0.0."""
+def _combo_mix(n: int, k: int, spec: CriterionSpec, phi_u: float):
+    """The combo value w * cor + (1-w) * (phi - L) / (U - L) as a function of
+    (cor, phi), with U the spec's ``norm_upper`` or else ``phi_u``.  U < L
+    would flip the term's sign, so it raises; U == L (an equidistant design
+    as U, e.g. any 2-run design) makes the term 0.0."""
     lower = phi_p_lower_proxy(n, k, spec.p, spec.q)
-    upper = spec.norm_upper if spec.norm_upper is not None else phi
+    upper = spec.norm_upper if spec.norm_upper is not None else phi_u
     if upper < lower:
         raise InvalidConfigError(
             f"combo upper proxy U={upper!r} is below the lower proxy L={lower!r}"
         )
-    return lower, upper - lower
+    w, span = float(spec.weight), upper - lower
+    return lambda cor, phi: w * cor + (1.0 - w) * ((phi - lower) / span if span else 0.0)
 
 
 def pin_upper(spec: CriterionSpec, design: np.ndarray) -> CriterionSpec:
@@ -243,10 +244,6 @@ def pin_upper(spec: CriterionSpec, design: np.ndarray) -> CriterionSpec:
     if spec.kind != "combo" or spec.norm_upper is not None:
         return spec
     return replace(spec, norm_upper=phi_p(design, spec.p, spec.q))
-
-
-def _normalized(phi: float, lower: float, span: float) -> float:
-    return (phi - lower) / span if span else 0.0
 
 
 def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -264,9 +261,7 @@ def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
     n, k = X.shape
     cor = avg_sq_cor(X)  # so a design that is no LHD raises before U is checked
     phi = phi_p(X, spec.p, spec.q)
-    lower, span = _phi_scale(n, k, spec, phi)
-    w = float(spec.weight)
-    return w * cor + (1.0 - w) * _normalized(phi, lower, span)
+    return _combo_mix(n, k, spec, phi)(cor, phi)
 
 
 def evaluate(design: np.ndarray, spec: CriterionSpec) -> float:
@@ -307,9 +302,9 @@ class _PairSum:
         self.new_value = self._value(self.new) if self.fast else self._full(exchange(X, col, i, j))
         return self.new_value
 
-    def commit(self, col: int, i: int, j: int) -> None:
-        """Apply the proposed swap of rows i, j to the pair matrix and ``s``."""
-        self._update(col, i, j)
+    def commit(self, X: np.ndarray, col: int, i: int, j: int) -> None:
+        """Apply the swap, made in ``X`` already, to the pair matrix and ``s``."""
+        self._update(X, i, j)
         self.since += 1
         if self.fast and self.since < _RESUM and self.new >= max(self.peak / 2.0, self.floor):
             self.s, self.peak = self.new, max(self.peak, self.new)
@@ -388,7 +383,7 @@ class _PhiState(_PairSum):
     def _full(self, Y: np.ndarray) -> float:
         return float(_kernels.phi_stable(Y, self.p, self.q))
 
-    def _update(self, col: int, i: int, j: int) -> None:
+    def _update(self, X: np.ndarray, i: int, j: int) -> None:
         S, rows = self.S, self.rows
         S[i] = S[:, i] = rows[0]
         S[j] = S[:, j] = rows[1]
@@ -425,23 +420,22 @@ class _CorrState:
         self.new, self.new_value = g, self.stat(g)
         return self.new_value
 
-    def commit(self, col: int, i: int, j: int) -> None:
+    def commit(self, X: np.ndarray, col: int, i: int, j: int) -> None:
         self.g, self.value = self.new, self.new_value
 
 
 class _MaxproState(_PairSum):
-    """maxpro state: the int64 transposed design ``XT``, the reciprocals ``R``
-    of its pair gap products (zero diagonal), the table ``G[u, v] = (u - v)^2``
-    with a diagonal of 1 and the pair sum ``s`` of ``R``, under the drift
-    policy of ``_PairSum``.  A commit rebuilds rows and columns i, j of ``R``
-    exactly from ``XT``, so ``R`` never drifts.  ``s`` takes no floor: it is
-    1e-86 at 300 x 30, so a floor of 1/_RANGE would resum on every commit."""
+    """maxpro state: the reciprocals ``R`` of the pair gap products (zero
+    diagonal), the table ``G[u, v] = (u - v)^2`` with a diagonal of 1 and the
+    pair sum ``s`` of ``R``, under the drift policy of ``_PairSum``.  A commit
+    rebuilds rows and columns i, j of ``R`` exactly from the swapped design
+    it is passed, so ``R`` never drifts.  ``s`` takes no floor: it is 1e-86
+    at 300 x 30, so a floor of 1/_RANGE would resum on every commit."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         self.pairs, self.k = _kernels.pair_indices(n), k
-        self.XT = X.T.copy()
-        self.R = _kernels.pair_matrix(1.0 / _kernels.pair_gap_products(X.T.astype(np.float64)), n)
+        self.R = _kernels.pair_matrix(1.0 / _kernels.pair_gap_products(X), n)
         self.G = _kernels.level_table(n, 2) + np.eye(n + 1)
         self.G.setflags(write=False)
         self._resum()
@@ -454,15 +448,13 @@ class _MaxproState(_PairSum):
         return (s / self.pairs[0].size) ** (1.0 / self.k)
 
     def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        return _kernels.maxpro_delta(self.R, self.G, self.XT[col], i, j, self.s)
+        return _kernels.maxpro_delta(self.R, self.G, X[:, col], i, j, self.s)
 
     _full = staticmethod(maxpro_psi)
 
-    def _update(self, col: int, i: int, j: int) -> None:
-        XT, R = self.XT, self.R
-        XT[col, i], XT[col, j] = XT[col, j], XT[col, i]
-        R[i], R[j] = _kernels.reciprocal_rows(XT, i, j)
-        R[:, i], R[:, j] = R[i], R[j]
+    def _update(self, X: np.ndarray, i: int, j: int) -> None:
+        R = self.R
+        R[i], R[j] = R[:, i], R[:, j] = _kernels.reciprocal_rows(X.T, i, j)
 
 
 class _ComboState:
@@ -476,21 +468,17 @@ class _ComboState:
         if spec.norm_upper is None:
             spec = replace(spec, norm_upper=self.phi.value)
         self.spec = spec
-        self.w = float(spec.weight)
-        self.lower, self.span = _phi_scale(*X.shape, spec, self.phi.value)
-        self.value = self._mix(self.corr.value, self.phi.value)
-
-    def _mix(self, cor: float, phi: float) -> float:
-        return self.w * cor + (1.0 - self.w) * _normalized(phi, self.lower, self.span)
+        self.mix = _combo_mix(*X.shape, spec, self.phi.value)
+        self.value = self.mix(self.corr.value, self.phi.value)
 
     def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        self.new_value = self._mix(self.corr.propose(X, col, i, j),
-                                   self.phi.propose(X, col, i, j))
+        self.new_value = self.mix(self.corr.propose(X, col, i, j),
+                                  self.phi.propose(X, col, i, j))
         return self.new_value
 
-    def commit(self, col: int, i: int, j: int) -> None:
-        self.phi.commit(col, i, j)
-        self.corr.commit(col, i, j)
+    def commit(self, X: np.ndarray, col: int, i: int, j: int) -> None:
+        self.phi.commit(X, col, i, j)
+        self.corr.commit(X, col, i, j)
         self.value = self.new_value
 
 
@@ -502,16 +490,17 @@ class Evaluator:
 
     The design must have every column a permutation of 1..n, as every
     design a search visits has; any other raises ``InvalidDesignError``.
-    Holds a private copy ``X`` of the design and the criterion's ``state``
-    (``_PhiState``, ``_MaxproState``, ``_CorrState`` or ``_ComboState``),
-    which owns ``propose``, ``commit`` and ``value``.  ``propose(col, i, j)``
-    returns the value the design would have after swapping rows i and j in
-    column col, in O(n); ``commit`` applies the swap.  Incremental values
-    agree with full evaluation to 1e-10 relative (property-tested).
+    Holds the only copy ``X`` of the design, column-major so that its columns
+    and ``X.T`` are contiguous, and the criterion's ``state`` (``_PhiState``,
+    ``_MaxproState``, ``_CorrState`` or ``_ComboState``), which owns
+    ``propose``, ``commit`` and ``value``.  ``propose(col, i, j)`` returns the
+    value after swapping rows i and j in column col, in O(n); ``commit`` swaps
+    them in ``X``, then commits the state on ``X``.  Incremental values agree
+    with full evaluation to 1e-10 relative (property-tested).
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.X = _lhd(as_design(design)).copy()
+        self.X = _lhd(as_design(design)).copy(order="F")
         self.n, self.k = self.X.shape
         self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
         self.spec = getattr(self.state, "spec", spec)
@@ -529,12 +518,12 @@ class Evaluator:
         return value
 
     def commit(self, col: int, i: int, j: int) -> None:
-        """Apply the swap and update the incremental state."""
+        """Apply the swap to ``X``, then update the incremental state."""
         if self._cache_key != (col, i, j):
             self.propose(col, i, j)
-        self.state.commit(col, i, j)
         X = self.X
         X[i, col], X[j, col] = X[j, col], X[i, col]
+        self.state.commit(X, col, i, j)
         self._cache_key = None
 
 

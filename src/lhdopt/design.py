@@ -44,6 +44,18 @@ def as_design(design: np.ndarray) -> np.ndarray:
     return exact_int64(A, "design levels", InvalidDesignError)
 
 
+def as_gap_design(design: np.ndarray, q: int) -> np.ndarray:
+    """:func:`as_design`'s design, whose pair gap sums of |gap|^q, at most
+    k * (max - min)^q, must be exact in int64: ``InvalidDesignError`` names
+    the limit when that bound reaches 2^63."""
+    X = as_design(design)
+    span = int(X.max()) - int(X.min())
+    if X.shape[1] * span ** q >= 2**63:
+        raise InvalidDesignError(f"levels span {span} over k={X.shape[1]} columns: "
+                                 f"k * span^{q} must stay below 2^63 for exact int64 gap sums")
+    return X
+
+
 def exact_int64(values, what: str, error: type[LhdError]) -> np.ndarray:
     """``values`` as a C-contiguous int64 array, or ``error`` naming ``what``.
 
@@ -119,7 +131,7 @@ def distance_matrix(design: np.ndarray, q: int = 1) -> np.ndarray:
     rejected.
     """
     _, q = as_exponents(1, q)  # p does not enter a distance
-    return _kernels.dist_matrix(as_design(design), q)
+    return _kernels.dist_matrix(as_gap_design(design, q), q)
 
 
 @dataclass

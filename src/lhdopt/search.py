@@ -203,7 +203,7 @@ class _Run:
         self.used += 1
         if value < self.best_value:
             self.best_value = value
-            self.best = np.array(design, dtype=np.int64)
+            self.best = np.array(design, dtype=np.int64, order="C")
             self.trace.append((self.used, value))
 
     def result(self, echo: dict, extras: dict | None = None) -> SearchResult:

@@ -341,8 +341,8 @@ def _phi_stream_against_reference(X, q, moves):
         assert state.new == s + want or (math.isnan(want) and math.isnan(state.new))
         assert np.array_equal(state.rows, new)
         if keep:
-            state.commit(col, i, j)
             X[[i, j], col] = X[[j, i], col]
+            state.commit(X, col, i, j)
     assert np.array_equal(state.S, ref_gap_power_sums(X, q))
     return past_end
 
@@ -376,11 +376,11 @@ def test_maxpro_state_equals_reference(case):
     # the pair-product form agrees to rounding
     old = ref_maxpro_delta(ref_gap_products(X, X), X, col, i, j, state.s)
     assert state.new == pytest.approx(old, rel=1e-13, abs=0.0)
-    # the commit rebuilds rows and columns i, j as a fresh state holds them
-    state.commit(col, i, j)
+    # the commit of the swapped design rebuilds rows and columns i, j as a
+    # fresh state holds them
     Y = X.copy()
     Y[[i, j], col] = Y[[j, i], col]
-    assert np.array_equal(state.XT, Y.T)
+    state.commit(Y, col, i, j)
     assert np.array_equal(state.R, ref_reciprocals(Y))
 
 

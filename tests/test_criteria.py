@@ -12,6 +12,7 @@ from lhdopt import (
     avg_abs_cor,
     column_correlations,
     delta_after_exchange,
+    distance_matrix,
     exchange,
     max_abs_cor,
     maxpro_psi,
@@ -152,6 +153,23 @@ class TestDesignInput:
                 phi_p(np.array(X))
         with pytest.raises(InvalidDesignError):
             phi_p(np.array([[1, np.nan], [2, 1]], dtype=object))
+
+    def test_int64_gap_overflow_is_a_typed_error(self):
+        # their int64 gap sums wrapped: phi_p gave nan, or 3.25e-19 with a
+        # distance of -9.22e18
+        huge_q2 = [[1, 1], [2**40, 3], [5, 2**35]]
+        with pytest.raises(InvalidDesignError, match="2\\^63"):
+            phi_p(huge_q2, 1, 2)
+        with pytest.raises(InvalidDesignError, match="2\\^63"):
+            distance_matrix(huge_q2, 2)
+        huge_q1 = [[-2**62, 1], [2**62, 3], [5, 2]]
+        for fn in (phi_p, distance_matrix, maxpro_psi):
+            with pytest.raises(InvalidDesignError, match="2\\^63"):
+                fn(huge_q1)
+
+    def test_large_levels_within_int64_are_exact(self):
+        assert phi_p([[1, 1], [2**60, 3], [5, 2]], 1) == 0.2
+        assert distance_matrix([[1, 1], [2**60, 3], [5, 2]], 1)[0, 1] == 2.0**60 + 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_integral_float_design_equals_integer_design(self, kind):

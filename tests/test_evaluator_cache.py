@@ -1,9 +1,9 @@
 """Property tests of the incremental evaluator's cached per-pair state.
 
 A stream of proposals, some committed and some not (including the no-op
-swap i == j), must leave the cached pair distances, transposed design,
-reciprocal gap products and pair Gram vector exactly equal to those of a
-fresh evaluator on the same design, and every proposal must agree with
+swap i == j), must leave the cached pair distances, reciprocal gap
+products and pair Gram vector exactly equal to those of a fresh
+evaluator on the same design, and every proposal must agree with
 full evaluation, over phi_p exponents 1..400 and both distances.  The running pair sums of
 phi_p and maxpro must stay within 1e-10 of their full values, also when
 a swap cancels most of the sum.
@@ -22,7 +22,7 @@ from lhdopt.errors import InvalidDesignError
 
 CACHES = {
     "phi_p": ("state.S",),
-    "maxpro": ("state.XT", "state.R"),
+    "maxpro": ("state.R",),
     "avgcor": ("state.g",),
     "maxcor": ("state.g",),
     "combo": ("state.phi.S", "state.corr.g"),

@@ -84,6 +84,8 @@ class TestCommonContract:
         assert len(calls) == 1
         assert validate(r.best).ok
         assert not r.best.flags.writeable
+        # a plain design, whatever layout the Evaluator searches in
+        assert r.best.dtype == np.int64 and r.best.flags.c_contiguous
         assert r.evaluations_used <= 2000
         assert r.elapsed >= 0
         vals = [v for _, v in r.trace]
