@@ -19,23 +19,28 @@ from . import io as lio
 from . import search as S
 from .criteria import CriterionSpec
 from .design import random_lhd, validate
-from .errors import InvalidDesignError, LhdError
+from .errors import InvalidDesignError, InvalidDimensionError, LhdError
 from .rng import RngStream
-
-ORTHOGONAL_TOL = 1e-12  # a design is reported orthogonal below this
 
 
 def _standard_criteria(design: np.ndarray, p: int = 15, q: int = 1) -> dict:
-    """Criterion values recorded in generate/search metadata."""
+    """Criterion values recorded in generate/search metadata; they are
+    informational, so a maxpro whose pair products overflow float64 is None
+    instead of an error."""
     k = design.shape[1]
+    with np.errstate(over="ignore"):
+        try:
+            maxpro = crit.maxpro_psi(design)
+        except InvalidDimensionError:
+            maxpro = None
     vals = {
         "phi_p": crit.phi_p(design, p, q),
-        "maxpro": crit.maxpro_psi(design),
+        "maxpro": maxpro,
     }
     if k >= 2:
         vals["avgcor"] = crit.avg_abs_cor(design)
         vals["maxcor"] = crit.max_abs_cor(design)
-        vals["orthogonal"] = bool(vals["maxcor"] <= ORTHOGONAL_TOL)
+        vals["orthogonal"] = vals["maxcor"] == 0.0  # exact: every integer Gram entry is 0
     else:
         vals["avgcor"] = None
         vals["maxcor"] = None
@@ -164,7 +169,8 @@ def _cmd_evaluate(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         raise InvalidDesignError("; ".join(report.problems))
     wanted = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    values = {name: crit.evaluate(X, _criterion_from_args(args, name)) for name in wanted}
+    with np.errstate(over="ignore"):  # an overflowing maxpro raises InvalidDimensionError
+        values = {name: crit.evaluate(X, _criterion_from_args(args, name)) for name in wanted}
     out = {"valid": True, "n": report.n, "k": report.k, "criteria": values}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

@@ -24,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .criteria import max_abs_cor
 from .design import as_design, exact_int64, parse_int_csv, rearranged_columns, validate
 from .errors import (
     DimensionMismatchError,
@@ -42,8 +41,9 @@ from .rng import Draws, RngStream, as_draws, permutation
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength 2.
-    Construction validates it (:func:`validate_oa`, and N x K cells), and
+    """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength t
+    (every t columns balanced).  Construction checks the declared strength
+    and the cells (:func:`validate_oa`, and N x K cells), and
     keeps the cells as a read-only int64 copy; arrays with equal symbols,
     strength and cells are equal."""
 
@@ -77,24 +77,27 @@ class OrthogonalArray:
 
 
 def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> None:
-    """Raise InvalidOAError unless strength-2 balance holds exactly."""
-    A = np.asarray(cells)
+    """Raise InvalidOAError unless strength-t balance holds exactly: 2 <= t <= K,
+    s^t divides N, and every t columns hold each of the s^t symbol tuples
+    N/s^t times."""
+    A = exact_int64(cells, "OA cells", InvalidOAError)
     if A.ndim != 2:
         raise InvalidOAError("array must be 2-D")
     N, K = A.shape
-    if s < 2 or N == 0 or N % (s * s) != 0:
-        raise InvalidOAError(f"run count {N} incompatible with s={s} at strength 2")
-    if strength < 2:
-        raise InvalidOAError("strength must be at least 2")
+    s, t = as_int(s, "s", InvalidOAError), as_int(strength, "strength", InvalidOAError)
+    if not 2 <= t <= K:
+        raise InvalidOAError(f"strength must be in 2..{K} for {K} columns, got {t}")
+    if s < 2 or N == 0 or N % s ** t != 0:
+        raise InvalidOAError(f"run count {N} incompatible with s={s} at strength {t}")
     unbalanced = np.flatnonzero(~rearranged_columns(A, np.repeat(np.arange(1, s + 1), N // s)))
     if unbalanced.size:
         raise InvalidOAError(f"column {unbalanced[0] + 1} is not balanced over symbols 1..{s}")
-    lam = N // (s * s)
-    for a, b in combinations(range(K), 2):
-        pair_codes = (A[:, a] - 1) * s + (A[:, b] - 1)
-        counts = np.bincount(pair_codes, minlength=s * s)
-        if not np.all(counts == lam):
-            raise InvalidOAError(f"columns {a + 1},{b + 1} violate strength-2 balance")
+    radix = s ** np.arange(t)
+    for cols in combinations(range(K), t):
+        counts = np.bincount((A[:, cols] - 1) @ radix, minlength=s ** t)
+        if not np.all(counts == N // s ** t):
+            raise InvalidOAError(
+                f"columns {','.join(str(c + 1) for c in cols)} violate strength-{t} balance")
 
 
 def make_oa(cells: np.ndarray, s: int, strength: int = 2) -> OrthogonalArray:
@@ -307,16 +310,12 @@ def _is_odd_prime(n: int) -> bool:
     return True
 
 
-def _williams_column(n: int, g: int, shift: int) -> np.ndarray:
-    i = np.arange(1, n + 1, dtype=np.int64)
-    return williams_transform((g * i + shift) % n, n) + 1
-
-
 def olhd_butler2001(n: int, k: int) -> np.ndarray:
     """Williams-transformed multiplicative-shift LHD for n an odd prime and
-    k <= n-1: column g is w((g*i + s_g) mod n) with the shift s_g chosen
-    deterministically (smallest minimizer, multipliers in order) to minimize
-    the running maximum absolute column correlation.
+    k <= n-1: column g is w((g*i + s_g) mod n) + 1 at rows i = 1..n.  Taking
+    multipliers in order, s_g is the smallest shift that minimizes the largest
+    absolute column correlation so far, compared exactly on the integer Gram
+    of the doubled-centered levels 2x - (n+1) (one product per multiplier).
 
     The result is exactly (Pearson) orthogonal whenever exact zero is
     reachable inside this family (for example k <= 2 at n = 5 and k <= 3 at
@@ -336,16 +335,15 @@ def olhd_butler2001(n: int, k: int) -> np.ndarray:
         raise InvalidParameterError("n must be an odd prime")
     if not 1 <= k <= n - 1:
         raise InvalidParameterError(f"k must be in 1..{n - 1}, got {k}")
-    cols = [_williams_column(n, 1, 0)]
-    for g in range(2, k + 1):
-        best_shift, best_val = 0, None
-        for shift in range(n):
-            cand = np.column_stack(cols + [_williams_column(n, g, shift)])
-            val = max_abs_cor(cand)
-            if best_val is None or val < best_val - 1e-15:
-                best_val, best_shift = val, shift
-        cols.append(_williams_column(n, g, best_shift))
-    X = np.column_stack(cols)
+    i = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    Z = np.empty((n, k), dtype=np.int64)  # doubled-centered levels of the chosen columns
+    worst = 0  # largest absolute Gram entry among them
+    for g in range(1, k + 1):
+        shifted = 2 * williams_transform((g * i + np.arange(n)) % n, n) + 1 - n  # column s: shift s
+        score = np.abs(Z[:, :g - 1].T @ shifted).max(axis=0, initial=worst)
+        s = int(np.argmin(score))
+        worst, Z[:, g - 1] = score[s], shifted[:, s]
+    X = (Z + n + 1) // 2
     X.setflags(write=False)
     return X
 

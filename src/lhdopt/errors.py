@@ -47,7 +47,7 @@ class InvalidConfigError(LhdError, ValueError):
 
 
 class InvalidOAError(LhdError, ValueError):
-    """Array is not a valid symmetric orthogonal array of strength 2."""
+    """Array is not a valid symmetric orthogonal array of its declared strength."""
 
 
 class InvalidParameterError(LhdError, ValueError):

@@ -171,12 +171,11 @@ def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra)
     return d
 
 
-def _check_algorithm(config: OptimizerConfig, *algorithms: str) -> None:
-    """Refuse a config naming none of ``algorithms``, the ones the calling
-    search runs: its echo would replay another search."""
-    if config.algorithm not in algorithms:
-        raise InvalidConfigError(
-            f"this search runs {' or '.join(algorithms)}, not {config.algorithm!r}")
+def _check_algorithm(config: OptimizerConfig, algorithm: str) -> None:
+    """Refuse a config of another algorithm than ``algorithm``, the one the
+    calling search runs: its echo would replay the other search."""
+    if config.algorithm != algorithm:
+        raise InvalidConfigError(f"this search runs {algorithm}, not {config.algorithm!r}")
 
 
 class _Run:
@@ -276,7 +275,14 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> S
     ``column_mode='random'``); the two rows are uniform distinct draws.
     Returns the best design visited, not the final state.
     """
-    _check_algorithm(config, "sa", "sa-multiobj")
+    _check_algorithm(config, "sa")
+    return _anneal_random_start(n, k, spec, config)
+
+
+def _anneal_random_start(n: int, k: int, spec: CriterionSpec,
+                         config: OptimizerConfig) -> SearchResult:
+    """The annealer of ``sa_search`` and ``sa_multiobj_search``, each of which
+    checks that ``config`` is its own first."""
     run = _Run(config)
     ev = _init_sa(random_lhd(n, k, run.draws), spec, run)
     _sa_loop(ev, run, lambda col: two_distinct(run.draws, n))
@@ -324,7 +330,7 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
     if config.weight is not None and config.weight != w:
         raise InvalidConfigError(f"config.weight {config.weight} differs from w = {w}")
     spec = CriterionSpec("combo", p=p, q=q, weight=w)
-    result = sa_search(n, k, spec, config)
+    result = _anneal_random_start(n, k, spec, config)
     best = result.best
     result.extras = {
         "avg_sq_cor": crit.avg_sq_cor(best),

@@ -1,11 +1,12 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here is deliberately written with plain Python loops and the math
-module only -- no shared code with the library's fast paths -- so a test that
+and fractions modules only -- no shared code with the library's fast paths -- so a test that
 compares the two is a genuine cross-check.
 """
 
 import math
+from fractions import Fraction
 
 
 def pair_distances(design, q=1):
@@ -79,3 +80,35 @@ def avg_sq_cor(design):
     C = correlations(design)
     vals = [C[a][b] ** 2 for a in range(k) for b in range(a + 1, k)]
     return sum(vals) / len(vals)
+
+
+def williams(a, n):
+    """Williams transform of a residue a in 0..n-1."""
+    return 2 * a if 2 * a < n else 2 * (n - a) - 1
+
+
+def exact_correlation(x, y):
+    """Pearson correlation of two columns that permute the same levels, as a
+    Fraction: equal levels give equal variances, so r = cov / var exactly."""
+    n = len(x)
+    cx = [n * a - sum(x) for a in x]  # n times the centered levels: integers
+    cy = [n * b - sum(y) for b in y]
+    return Fraction(sum(a * b for a, b in zip(cx, cy)), sum(a * a for a in cx))
+
+
+def butler_greedy(n, k):
+    """Butler's (2001) Williams design, rows i = 1..n: column g = 1..k holds
+    w((g*i + s) mod n) + 1 for the first shift s that minimizes the largest
+    absolute correlation among the columns chosen so far and the new one."""
+    cols = []
+    worst = Fraction(0)
+    for g in range(1, k + 1):
+        best = None
+        for s in range(n):
+            col = [williams((g * i + s) % n, n) + 1 for i in range(1, n + 1)]
+            score = max([worst] + [abs(exact_correlation(c, col)) for c in cols])
+            if best is None or score < best[0]:
+                best = (score, col)
+        worst = best[0]
+        cols.append(best[1])
+    return [list(row) for row in zip(*cols)]

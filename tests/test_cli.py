@@ -1,6 +1,7 @@
 """CLI behavior: file outputs, exit codes, determinism, metadata replay."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lhdopt import (
     sliced_sa_search,
     validate,
 )
+from lhdopt import cli, criteria as crit
 from lhdopt.cli import main, search_from_echo
 from lhdopt.errors import InvalidConfigError
 from lhdopt.io import read_design
@@ -130,6 +132,29 @@ class TestGenerate:
         meta = json.loads(out.with_suffix(".json").read_text())
         assert meta["criteria"]["orthogonal"] is orthogonal
 
+    def test_an_overflowing_maxpro_is_recorded_as_null(self, tmp_path, capsys):
+        # a valid 256 x 128 OLHD whose maxpro pair products overflow float64
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the command
+            assert run(["generate", "--construction", "sun2010", "--c", "7", "--r", "1",
+                        "-o", str(out)]) == 0
+        criteria = json.loads((tmp_path / "big.json").read_text())["criteria"]
+        assert criteria["maxpro"] is None and criteria["orthogonal"] is True
+        capsys.readouterr()
+        # asked for by name, maxpro still fails
+        assert run(["evaluate", str(out), "--criteria", "maxpro"]) == 2
+        assert "maxpro pair products overflow float64" in capsys.readouterr().err
+
+    def test_orthogonal_is_an_exact_zero_maxcor(self, monkeypatch):
+        X = np.array([[1, 1], [2, 2], [3, 3]], dtype=np.int64)
+        assert cli._standard_criteria(X)["orthogonal"] is False
+        monkeypatch.setattr(crit, "max_abs_cor", lambda design: 5e-13)
+        vals = cli._standard_criteria(X)
+        assert vals["maxcor"] == 5e-13 and vals["orthogonal"] is False
+        monkeypatch.setattr(crit, "max_abs_cor", lambda design: 0.0)
+        assert cli._standard_criteria(X)["orthogonal"] is True
+
 
 class TestSearch:
     def test_sa_reaches_optimum_and_writes_everything(self, tmp_path):
@@ -146,6 +171,16 @@ class TestSearch:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "evaluation_index,best_value"
         assert len(lines) >= 2
+
+    def test_an_overflowing_maxpro_does_not_fail_the_search(self, tmp_path):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["search", "-n", "300", "-k", "80", "--alg", "sa", "--criterion", "phi_p",
+                        "--budget", "200", "-o", str(out)]) == 0
+        meta = json.loads((tmp_path / "s.json").read_text())
+        assert meta["criteria"]["maxpro"] is None
+        assert meta["criteria"]["phi_p"] == meta["value"] == phi_p(read_design(out))
 
     def test_lapso_maxcor_beats_random_baseline(self, tmp_path):
         from lhdopt import RngStream, random_lhd

@@ -1,6 +1,7 @@
 """Constructions: size contracts, exact orthogonality, round trips, catalog."""
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ from lhdopt.errors import (
 )
 
 ORTHO_TOL = 1e-12
+
+ODD_PRIMES_TO_23 = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@lru_cache(maxsize=None)
+def butler_oracle(n):
+    """The oracle's full-width design; its greedy never looks ahead, so its
+    first k columns are its k-column design."""
+    return oracles.butler_greedy(n, n - 1)
 
 
 class TestYe1998:
@@ -138,6 +148,13 @@ class TestButler2001:
         assert X.shape == (n, k) and validate(X).ok
         assert max_abs_cor(X) <= ORTHO_TOL
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in ODD_PRIMES_TO_23 for k in range(1, n)])
+    def test_matches_the_exact_greedy_oracle(self, n, k):
+        # the first minimizing shift, scored by the running worst correlation
+        X = olhd_butler2001(n, k)
+        assert X.tolist() == [row[:k] for row in butler_oracle(n)]
+        assert X.dtype == np.int64 and X.flags.c_contiguous and not X.flags.writeable
+
     @pytest.mark.parametrize("n", [5, 7, 11, 13])
     def test_full_width_is_valid_and_nearly_orthogonal(self, n):
         X = olhd_butler2001(n, n - 1)
@@ -198,9 +215,33 @@ class TestCatalog:
                                       "OA(16,5,4,2)", "OA(25,6,5,2)"])
     def test_load_and_balance(self, name):
         oa = good_oa_catalog(name)
-        validate_oa(oa.cells, oa.s, oa.strength)  # every pair balanced
+        validate_oa(oa.cells, oa.s, oa.strength)  # every t columns balanced
         n, k, s, _ = map(int, name[3:-1].split(","))
         assert (oa.N, oa.K, oa.s) == (n, k, s)
+
+    def test_declared_strength_is_checked(self):
+        # OA(8,4,2,2) has strength 3: every three of its columns are balanced
+        cells8 = good_oa_catalog("OA(8,4,2,2)").cells
+        assert OrthogonalArray(8, 4, 2, 3, cells8).strength == 3
+        cells9 = good_oa_catalog("OA(9,4,3,2)").cells
+        with pytest.raises(InvalidOAError, match="run count 9 incompatible with s=3 at strength 3"):
+            OrthogonalArray(9, 4, 3, 3, cells9)
+        for t in (1, 5, 7):
+            with pytest.raises(InvalidOAError, match=f"strength must be in 2..4 for 4 columns, got {t}"):
+                OrthogonalArray(9, 4, 3, t, cells9)
+        with pytest.raises(InvalidOAError, match="strength must be an integer"):
+            OrthogonalArray(9, 4, 3, 2.0, cells9)
+        with pytest.raises(InvalidOAError, match="s must be an integer"):
+            OrthogonalArray(9, 4, 3.0, 2, cells9)
+        # column 4 = column 1 xor column 2: every pair balanced, that triple not
+        cells = [[a + 1, b + 1, c + 1, (a ^ b) + 1] for a, b, c in product((0, 1), repeat=3)]
+        assert OrthogonalArray(8, 4, 2, 2, cells).strength == 2
+        with pytest.raises(InvalidOAError, match="columns 1,2,4 violate strength-3 balance"):
+            OrthogonalArray(8, 4, 2, 3, cells)
+        # float cells of integral symbols are checked like integer ones
+        validate_oa(np.array(cells, dtype=np.float64), 2, 2)
+        with pytest.raises(InvalidOAError, match="OA cells must be finite integers"):
+            validate_oa(np.array(cells) + 0.5, 2, 2)
 
     def test_pair_counts_oa9(self):
         oa = good_oa_catalog("OA(9,4,3,2)")

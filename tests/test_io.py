@@ -97,6 +97,16 @@ class TestOaFiles:
                      "--fill", "deterministic", "-o", str(out2)]) == 0
         assert read_design(out2).shape == (9, 4)
 
+    @pytest.mark.parametrize("command", ["search", "generate"])
+    def test_cli_rejects_a_strength_the_cells_do_not_have(self, tmp_path, capsys, command):
+        oa_file = write_oa(tmp_path / "a.csv", good_oa_catalog("OA(9,4,3,2)"))
+        write_json(sidecar_path(oa_file), {"N": 9, "K": 4, "s": 3, "t": 7})
+        out = str(tmp_path / "x.csv")
+        args = (["search", "--alg", "oasa", "--budget", "100"] if command == "search"
+                else ["generate", "--construction", "oalhd"])
+        assert main([*args, "--oa", str(oa_file), "-o", out]) == 2
+        assert "strength must be in 2..4 for 4 columns, got 7" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sidecar", [{"N": 9, "K": 4}, [1, 2]])
     @pytest.mark.parametrize("command", ["search", "generate"])
     def test_cli_rejects_a_sidecar_without_n_k_s_t(self, tmp_path, capsys, sidecar, command):
@@ -111,6 +121,7 @@ class TestOaFiles:
     @pytest.mark.parametrize("sidecar", [
         {"N": 9, "K": 4, "s": 3}, {"N": 9, "K": 4, "s": 3.0, "t": 2},
         {"N": 9, "K": 4, "s": "3", "t": 2}, {"N": 9, "K": 4, "s": 3, "t": True}, None,
+        {"N": 9, "K": 4, "s": 3, "t": 3}, {"N": 9, "K": 4, "s": 3, "t": 7},
     ])
     def test_parser_rejects_missing_or_non_integer_fields(self, sidecar):
         text = "\n".join(",".join(map(str, row)) for row in good_oa_catalog("OA(9,4,3,2)").cells)

@@ -25,6 +25,7 @@ from lhdopt import (
     sliced_sa_search,
     validate,
 )
+from lhdopt.cli import search_from_echo
 from lhdopt.constructions import collapse_to_oa, make_oa
 from lhdopt.criteria import evaluate
 from lhdopt import search as S
@@ -134,15 +135,17 @@ class TestCommonContract:
     def test_a_config_of_another_algorithm_is_refused_before_any_draw(self, alg, monkeypatch):
         # its echo would name the other algorithm, and replay would run that one
         monkeypatch.setattr(RngStream, "draws", lambda self: pytest.fail("a draw was made"))
-        accepted = {"sa", "sa-multiobj"} if alg == "sa" else {alg}  # sa_multiobj_search's call
-        for other in sorted(set(S.ALGORITHMS) - accepted):
-            with pytest.raises(InvalidConfigError, match=f"runs {alg}"):
+        for other in sorted(set(S.ALGORITHMS) - {alg}):
+            with pytest.raises(InvalidConfigError, match=f"runs {alg}, not '{other}'"):
                 SEARCHES[alg](cfg(other, budget=50))
 
-    def test_sa_runs_the_config_that_sa_multiobj_hands_it(self):
-        config = cfg("sa-multiobj", budget=50, weight=0.5)
-        combo = CriterionSpec("combo", weight=0.5)
-        assert sa_search(6, 3, combo, config).value == SEARCHES["sa-multiobj"](config).value
+    def test_sa_refuses_an_sa_multiobj_config(self):
+        # it would anneal phi_p but echo sa-multiobj, whose replay anneals combo
+        config = cfg("sa-multiobj", budget=300, seed=1, weight=0.5)
+        with pytest.raises(InvalidConfigError, match="runs sa, not 'sa-multiobj'"):
+            sa_search(8, 3, PHI, config)
+        r = sa_multiobj_search(8, 3, 0.5, config)
+        assert search_from_echo(r.config_echo).value == r.value
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfigError):
