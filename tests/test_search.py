@@ -139,6 +139,14 @@ class TestCommonContract:
             with pytest.raises(InvalidConfigError, match=f"runs {alg}, not '{other}'"):
                 SEARCHES[alg](cfg(other, budget=50))
 
+    def test_sa_runs_the_config_that_sa_multiobj_hands_it(self):
+        # sa-multiobj hands its config to sa's annealer: the same fields under
+        # algorithm "sa" anneal combo to the same design
+        config = cfg("sa-multiobj", budget=50, weight=0.5)
+        combo = CriterionSpec("combo", weight=0.5)
+        as_sa = cfg("sa", budget=50, weight=0.5)
+        assert sa_search(6, 3, combo, as_sa).value == SEARCHES["sa-multiobj"](config).value
+
     def test_sa_refuses_an_sa_multiobj_config(self):
         # it would anneal phi_p but echo sa-multiobj, whose replay anneals combo
         config = cfg("sa-multiobj", budget=300, seed=1, weight=0.5)
