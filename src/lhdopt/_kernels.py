@@ -9,15 +9,14 @@ attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
 Every row-pair gap is an int64 difference, gathered for the full design in
 one place, ``_pair_gap_blocks``, in k x m blocks over the pairs a < b of
 ``pair_indices(n)``, and each block is reduced over its k rows: into exact
-int64 sums of |gap|^q (``pair_gap_sums``) or into squared-gap products
-(``_gap_products``, which ``reciprocal_rows`` shares).  The annealer states
-of ``criteria.Evaluator`` scatter these pair vectors (or their reciprocals)
+int64 sums of |gap|^q (``pair_gap_sums``) or into float64 squared-gap
+products (``pair_gap_products``).  The annealer states of
+``criteria.Evaluator`` scatter these pair vectors (or their reciprocals)
 into n x n matrices (``pair_matrix``) that the O(n) delta kernels read.  The
-delta kernels take one column of levels 1..n before the swap,
-``reciprocal_rows`` the k x n transposed design and the others the n x k
-int64 design, of n >= 2 rows and k (max - min)^q < 2^63, so no gap sum wraps
-(``design.as_gap_design``); a "swap" exchanges rows ``i`` and ``j`` within
-column ``col``.
+delta kernels take one column of levels 1..n before the swap, the others
+the n x k int64 design, of n >= 2 rows and k (max - min)^q < 2^63, so no
+gap sum wraps (``design.as_gap_design``); a "swap" exchanges rows ``i`` and
+``j`` within column ``col``.
 
 The phi_p pair distances are exact integers (L1 for q=1, squared L2 for
 q=2), so ``phi_delta`` reads the pair terms from a weight table
@@ -28,10 +27,13 @@ changes under a swap from the (n+1) x (n+1) level table
 for ``L[x_j, x_l]`` against each row l, one subtraction of two table rows
 and one gather by the column.  The maxpro state keeps the reciprocal pair
 products ``R`` and a table ``G[u, v] = (u - v)^2``, so ``maxpro_delta``
-scales rows i, j of ``R`` by one ratio vector of two ``G`` rows, and a
-commit rebuilds them exactly (``reciprocal_rows``).  ``phi_delta`` returns
-the change of one running pair sum and ``maxpro_delta`` the new value of
-another; both follow one drift policy (``criteria._PairSum``), and the
+scales rows i, j of ``R`` by one ratio vector of two ``G`` rows.  Each
+returns the two new rows of its pair matrix beside the sum, and a commit
+writes them into rows and columns i, j; the maxpro rows are products of
+rounded ratios, so the state rebuilds ``R`` from ``pair_gap_products``
+whenever it recomputes its sum.  ``phi_delta`` returns the change of one
+running pair sum and ``maxpro_delta`` the new value of another; both
+follow one drift policy (``criteria._PairSum``), and the
 evaluator is tested to agree with ``phi_stable`` to 1e-10 for
 1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.  ``phi_sum`` is the plain
 sum of d^-p, which underflows at large p; nothing in the library calls it.
@@ -77,22 +79,11 @@ def pair_gap_sums(X: np.ndarray, q: int) -> np.ndarray:
                            for g in _pair_gap_blocks(X.T)])
 
 
-def _gap_products(d: np.ndarray) -> np.ndarray:
-    """Products over axis 0 (l = 0..k-1) of the int64 gaps ``d`` squared in float64."""
-    return np.multiply.reduce(np.square(d, dtype=np.float64), axis=0)
-
-
 def pair_gap_products(X: np.ndarray) -> np.ndarray:
-    """``_gap_products`` of the row pairs of the int64 design ``X``, in ``pair_indices`` order."""
-    return np.concatenate([_gap_products(g) for g in _pair_gap_blocks(X.T)])
-
-
-def reciprocal_rows(XT: np.ndarray, i: int, j: int) -> np.ndarray:
-    """1 / prod_l (x_rl - x_sl)^2 (``_gap_products``) of the transposed int64
-    design ``XT`` for r in (i, j) and every s; 0 at s == r."""
-    P = _gap_products(XT.take((i, j), axis=1)[:, :, None] - XT[:, None, :])
-    P[0, i] = P[1, j] = math.inf
-    return np.divide(1.0, P, out=P)
+    """Products over l = 0..k-1 of the int64 gaps of the row pairs of the
+    design ``X`` squared in float64, in ``pair_indices`` order."""
+    return np.concatenate([np.multiply.reduce(np.square(g, dtype=np.float64), axis=0)
+                           for g in _pair_gap_blocks(X.T)])
 
 
 def pair_matrix(v: np.ndarray, n: int) -> np.ndarray:
@@ -197,24 +188,27 @@ def maxpro_sum(X: np.ndarray) -> float:
     return float((1.0 / pairs).sum())
 
 
-def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int, s: float) -> float:
+def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int,
+                 s: float) -> tuple[float, np.ndarray]:
     """New maxpro pair sum ``s`` after rows i, j swap their entries of the
-    column ``x`` (int64 levels 1..n).
+    column ``x`` (int64 levels 1..n), and rows i, j of ``R`` after the swap.
 
     ``R`` holds the reciprocal pair products before the swap (zero diagonal),
     ``G`` the squared level gaps ``(u - v)^2`` with a diagonal of 1.  Against
     row l, the swap multiplies ``R[i, l]`` by ``G[x_i, x_l] / G[x_j, x_l]``
     and ``R[j, l]`` by its inverse; both ratios are 1 at (i, j) and (j, i),
     the pair it leaves unchanged, and the zero diagonal drops (i, i) and
-    (j, j), so one sum over both full rows gives the change of ``s``.
+    (j, j), so one sum of the new rows minus the old over both full rows
+    gives the change of ``s``.  The new rows are ``rows * ratio``: each entry
+    gains up to about one ulp of rounding from its ratio and its product, so
+    a caller that keeps them in ``R`` rebuilds ``R`` now and then.
     """
     g = G.take(x.take((i, j)), axis=0).take(x, axis=1)
     ratio = g / g[::-1]
     ratio[0, j] = ratio[1, i] = 1.0
     rows = R.take((i, j), axis=0)
-    new = rows * ratio
-    new -= rows
-    return s + float(np.add.reduce(new, axis=None))
+    new = np.multiply(rows, ratio, out=ratio)
+    return s + float(np.add.reduce(np.subtract(new, rows, out=rows), axis=None)), new
 
 
 def warm_up() -> None:

@@ -289,9 +289,11 @@ class _PairSum:
     sums 4n terms, old and new, whose total is at most four times that
     largest sum, so it rounds ``s`` by at most about 240 eps for n <= 1024.
 
-    A subclass supplies ``_step`` (the new sum), ``_value`` (the criterion
-    value of a sum), ``_full`` (the value of the swapped design, evaluated
-    in full), ``_update`` (the pair matrix after the swap) and ``_exact``.
+    A subclass keeps its symmetric n x n pair matrix in ``M`` and supplies
+    ``_step`` (the new sum, leaving rows i, j of ``M`` after the swap in
+    ``rows``), ``_value`` (the criterion value of a sum), ``_full`` (the
+    value of the swapped design, evaluated in full) and ``_exact`` (``s``
+    recomputed from the design).
     """
 
     floor = 0.0
@@ -303,17 +305,19 @@ class _PairSum:
         return self.new_value
 
     def commit(self, X: np.ndarray, col: int, i: int, j: int) -> None:
-        """Apply the swap, made in ``X`` already, to the pair matrix and ``s``."""
-        self._update(X, i, j)
+        """Apply the swap, made in ``X`` already, to ``M`` (the proposed rows) and ``s``."""
+        M, rows = self.M, self.rows
+        M[i] = M[:, i] = rows[0]
+        M[j] = M[:, j] = rows[1]
         self.since += 1
         if self.fast and self.since < _RESUM and self.new >= max(self.peak / 2.0, self.floor):
             self.s, self.peak = self.new, max(self.peak, self.new)
             self.value = self.new_value
         else:
-            self._resum()
+            self._resum(X)
 
-    def _resum(self) -> None:
-        self.s = self.peak = self._exact()
+    def _resum(self, X: np.ndarray) -> None:
+        self.s = self.peak = self._exact(X)
         self.since = 0
         self.value = self._value(self.s)
 
@@ -347,12 +351,12 @@ class _PhiState(_PairSum):
         self.q = int(spec.q)
         self.p = float(spec.p)
         self.e = self.p if self.q == 1 else self.p / 2.0
-        self.S = _kernels.pair_matrix(_kernels.pair_gap_sums(X, self.q), n)
+        self.S = self.M = _kernels.pair_matrix(_kernels.pair_gap_sums(X, self.q), n)
         self.L = _kernels.level_table(n, self.q)
         self.pairs = _kernels.pair_indices(n)
         self.reach = k * (n - 1) ** self.q
         self.size = 0
-        self._resum()
+        self._resum(X)
 
     def _rescale(self) -> float:
         """Move ``d_ref`` to the smallest distance, rebuild ``W`` and return
@@ -363,7 +367,7 @@ class _PhiState(_PairSum):
         self.root = dref if self.q == 1 else math.sqrt(dref)
         return float(self.W.take(self.S).sum()) / 2.0  # S holds each pair twice
 
-    def _exact(self) -> float:
+    def _exact(self, X: np.ndarray) -> float:
         """``s`` from ``S``, rescaled when it leaves [1/_RANGE, _RANGE]; a
         distance past the end of ``W`` first sizes ``W`` to 5/4 of it."""
         top = int(self.S.max())
@@ -382,11 +386,6 @@ class _PhiState(_PairSum):
 
     def _full(self, Y: np.ndarray) -> float:
         return float(_kernels.phi_stable(Y, self.p, self.q))
-
-    def _update(self, X: np.ndarray, i: int, j: int) -> None:
-        S, rows = self.S, self.rows
-        S[i] = S[:, i] = rows[0]
-        S[j] = S[:, j] = rows[1]
 
 
 class _CorrState:
@@ -428,33 +427,32 @@ class _MaxproState(_PairSum):
     """maxpro state: the reciprocals ``R`` of the pair gap products (zero
     diagonal), the table ``G[u, v] = (u - v)^2`` with a diagonal of 1 and the
     pair sum ``s`` of ``R``, under the drift policy of ``_PairSum``.  A commit
-    rebuilds rows and columns i, j of ``R`` exactly from the swapped design
-    it is passed, so ``R`` never drifts.  ``s`` takes no floor: it is 1e-86
-    at 300 x 30, so a floor of 1/_RANGE would resum on every commit."""
+    writes the rows ``maxpro_delta`` scaled, products of rounded ratios, so
+    ``R`` drifts by a few ulps between recomputations; each recomputation
+    rebuilds ``R`` from the design first, so ``s`` and the overflow check
+    read exact reciprocals.  ``s`` takes no floor: it is 1e-86 at 300 x 30,
+    so a floor of 1/_RANGE would resum on every commit."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         self.pairs, self.k = _kernels.pair_indices(n), k
-        self.R = _kernels.pair_matrix(1.0 / _kernels.pair_gap_products(X), n)
         self.G = _kernels.level_table(n, 2) + np.eye(n + 1)
         self.G.setflags(write=False)
-        self._resum()
+        self._resum(X)
 
-    def _exact(self) -> float:
-        r = self.R[self.pairs]  # 0.0 where a pair product overflowed
-        return _maxpro_total(float(r.sum()) if r.min() else math.inf, len(self.R), self.k)
+    def _exact(self, X: np.ndarray) -> float:
+        r = 1.0 / _kernels.pair_gap_products(X)  # 0.0 where a pair product overflowed
+        self.R = self.M = _kernels.pair_matrix(r, len(X))
+        return _maxpro_total(float(r.sum()) if r.min() else math.inf, len(X), self.k)
 
     def _value(self, s: float) -> float:
         return (s / self.pairs[0].size) ** (1.0 / self.k)
 
     def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        return _kernels.maxpro_delta(self.R, self.G, X[:, col], i, j, self.s)
+        s, self.rows = _kernels.maxpro_delta(self.R, self.G, X[:, col], i, j, self.s)
+        return s
 
     _full = staticmethod(maxpro_psi)
-
-    def _update(self, X: np.ndarray, i: int, j: int) -> None:
-        R = self.R
-        R[i], R[j] = R[:, i], R[:, j] = _kernels.reciprocal_rows(X.T, i, j)
 
 
 class _ComboState:

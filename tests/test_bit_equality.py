@@ -123,7 +123,8 @@ def ref_reciprocals(X):
 
 def ref_maxpro_new_sum(R, X, col, i, j, s):
     """Two 1-D rows of ``R`` times explicit ratio vectors, the ratios masked
-    to 1 outside the pairs the swap changes, summed as one 2n vector."""
+    to 1 outside the pairs the swap changes, their change summed as one 2n
+    vector; returns the new sum and the two scaled rows."""
     n = X.shape[0]
     mask = np.ones(n, dtype=bool)
     mask[i] = mask[j] = False
@@ -133,8 +134,9 @@ def ref_maxpro_new_sum(R, X, col, i, j, s):
     ratio_i, ratio_j = np.ones(n), np.ones(n)
     ratio_i[mask] = gi2[mask] / gj2[mask]
     ratio_j[mask] = gj2[mask] / gi2[mask]
-    change = np.concatenate([R[i] * ratio_i - R[i], R[j] * ratio_j - R[j]])
-    return s + float(change.sum())
+    new_i, new_j = R[i] * ratio_i, R[j] * ratio_j
+    change = np.concatenate([new_i - R[i], new_j - R[j]])
+    return s + float(change.sum()), (new_i, new_j)
 
 
 def ref_maxpro_delta(P, X, col, i, j, s):
@@ -370,18 +372,24 @@ def test_maxpro_state_equals_reference(case):
     u = np.arange(n + 1)
     assert not state.G.flags.writeable
     assert np.array_equal(state.G, (u[:, None] - u) ** 2 + np.eye(n + 1))
-    want = ref_maxpro_new_sum(state.R, X, col, i, j, state.s)
+    want, rows = ref_maxpro_new_sum(state.R, X, col, i, j, state.s)
     state.propose(X, col, i, j)
     assert state.new == want
     # the pair-product form agrees to rounding
     old = ref_maxpro_delta(ref_gap_products(X, X), X, col, i, j, state.s)
     assert state.new == pytest.approx(old, rel=1e-13, abs=0.0)
-    # the commit of the swapped design rebuilds rows and columns i, j as a
-    # fresh state holds them
+    # the commit writes the scaled rows into rows and columns i, j, one
+    # rounding of a ratio and of a product away from a fresh state's; a
+    # commit that recomputes the sum rebuilds R as a fresh state holds it
     Y = X.copy()
     Y[[i, j], col] = Y[[j, i], col]
     state.commit(Y, col, i, j)
-    assert np.array_equal(state.R, ref_reciprocals(Y))
+    if state.since:
+        for r, row in zip((i, j), rows):
+            assert np.array_equal(state.R[r], row) and np.array_equal(state.R[:, r], row)
+        np.testing.assert_allclose(state.R, ref_reciprocals(Y), rtol=1e-13, atol=0.0)
+    else:
+        assert np.array_equal(state.R, ref_reciprocals(Y))
 
 
 @SETTINGS

@@ -1,12 +1,15 @@
 """Property tests of the incremental evaluator's cached per-pair state.
 
 A stream of proposals, some committed and some not (including the no-op
-swap i == j), must leave the cached pair distances, reciprocal gap
-products and pair Gram vector exactly equal to those of a fresh
-evaluator on the same design, and every proposal must agree with
-full evaluation, over phi_p exponents 1..400 and both distances.  The running pair sums of
-phi_p and maxpro must stay within 1e-10 of their full values, also when
-a swap cancels most of the sum.
+swap i == j), must leave the cached pair distances and pair Gram vector
+exactly equal to those of a fresh evaluator on the same design, and every
+proposal must agree with full evaluation, over phi_p exponents 1..400 and
+both distances.  The reciprocal gap products of maxpro must equal a fresh
+evaluator's right after a recomputation; a maxpro commit writes the rows
+its proposal scaled, products of rounded ratios, so in between they must
+stay within 1e-12 of them, symmetric with a zero diagonal.  The running
+pair sums of phi_p and maxpro must stay within 1e-10 of their full
+values, also when a swap cancels most of the sum.
 """
 
 from operator import attrgetter
@@ -61,8 +64,19 @@ def test_cached_state_matches_fresh_evaluator(case):
 def assert_matches_fresh(ev):
     fresh = Evaluator(ev.X, ev.spec)
     for name in CACHES[ev.spec.kind]:
-        assert np.array_equal(attrgetter(name)(ev), attrgetter(name)(fresh)), name
+        if name == "state.R" and ev.state.since:
+            assert_reciprocals_within_drift(ev.state.R, fresh.state.R)
+        else:
+            assert np.array_equal(attrgetter(name)(ev), attrgetter(name)(fresh)), name
     assert ev.value() == pytest.approx(evaluate(ev.X, ev.spec), rel=1e-10, abs=1e-300)
+
+
+def assert_reciprocals_within_drift(R, exact):
+    # between recomputations every entry is a product of at most _RESUM
+    # rounded ratios, each within an ulp or two of exact
+    assert np.array_equal(R, R.T)
+    assert not R.diagonal().any()
+    np.testing.assert_allclose(R, exact, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("spec, n, k", [
@@ -132,7 +146,7 @@ def test_maxpro_sum_follows_a_falling_maximum(seed, n, k):
                                   CriterionSpec("maxpro")], ids=["1", "15", "maxpro"])
 def test_running_sum_matches_its_recomputation(spec):
     # commits add the gathered change to the running pair sum; at every step
-    # it must match the sum recomputed from the exact pair matrix, and the
+    # it must match the sum recomputed from the committed pair matrix, and the
     # recomputation must come at least every _RESUM commits (at p=1 the phi_p
     # sum never halves, so only that bound triggers it)
     gen = np.random.default_rng(7)
@@ -155,6 +169,33 @@ def test_running_sum_matches_its_recomputation(spec):
     assert 1 < longest < _RESUM
     if spec.kind == "phi_p" and spec.p == 1:
         assert longest == _RESUM - 1
+    assert_matches_fresh(ev)
+
+
+@pytest.mark.parametrize("n, k", [(50, 8), (200, 10)])
+def test_committed_reciprocals_stay_near_exact(n, k):
+    # a random commit stream past two recomputation intervals: R must equal
+    # a fresh evaluator's after every commit that recomputed the sum, and
+    # stay within the drift bound after every eighth one in between, with
+    # the running sum following the exact one
+    gen = np.random.default_rng(n)
+    X = np.column_stack([gen.permutation(n) + 1 for _ in range(k)])
+    spec = CriterionSpec("maxpro")
+    ev = Evaluator(X, spec)
+    resums = 0
+    for _ in range(2 * _RESUM + 100):
+        col, i, j = int(gen.integers(k)), int(gen.integers(n)), int(gen.integers(n))
+        ev.propose(col, i, j)
+        ev.commit(col, i, j)
+        if ev.state.since % 8 == 0:
+            fresh = Evaluator(ev.X, spec).state
+            if ev.state.since:
+                assert_reciprocals_within_drift(ev.state.R, fresh.R)
+            else:
+                assert np.array_equal(ev.state.R, fresh.R)
+                resums += 1
+            assert ev.state.s == pytest.approx(fresh.s, rel=1e-10)
+    assert resums >= 2
     assert_matches_fresh(ev)
 
 

@@ -92,7 +92,7 @@ GOLDEN = {
     'oasa-OA(25,6,5,2)': ('0.03945502137471287', '18cd467acc9a31687258c719dec8d2a58f10ec47', '02cebaa71d20cc82795092da444fb96802c65d7d', 2000),
     'sa-avgcor': ('0.030769230769230764', 'fce678a8df7743071ed93c960b3f5c38b8c45e15', '9191c4f47d097aeaa0b0447c76d9687f4acc08a3', 2000),
     'sa-maxcor': ('0.055944055944055944', '9d55895a2c66f415f7fc4fc42e93478a1860d60b', '42624b452e98e4daeac0e2ca6c4bb5eb1e0d8ed9', 2000),
-    'sa-maxpro': ('0.11133711034466172', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '8fa63384ff57f33b97c178bb32dec7d700f94281', 3000),
+    'sa-maxpro': ('0.1113371103446617', '9a9c5616d02affd1a8c883285eb2d0cc8a1a72ac', '9f5d2bc9bc9d91278caeb0cd61af0d9dc11ef988', 3000),
     'sa-multiobj-w0.5': ('0.10496269815901585', 'd2bd11fe55ea96ba8c8b45e7bf587def825bfc93', 'c14adb436ee31f2819a5bff7ef38ab8a4327a40c', 2000),
     'sa-phi_p-q1': ('0.08828957155093273', 'afeec13a750c6ad688d8b3bb9f31d00dedbfc446', '13fa4aa7171ab0ea51600344fbc2c4afb1efc4ec', 3000),
     'sa-phi_p-q2': ('0.15069022945558147', 'f05d9d62689f4f728ccd3f037fcb94d6e7c5121f', '478b6d0d9670d36a58a9004cd9369ac31dd537d6', 3000),
