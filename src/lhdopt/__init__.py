@@ -13,7 +13,6 @@ from .criteria import (
     avg_abs_cor,
     avg_sq_cor,
     column_correlations,
-    delta_after_exchange,
     max_abs_cor,
     maxpro_psi,
     phi_p,
@@ -65,7 +64,6 @@ __all__ = [
     "avg_sq_cor",
     "catalog_names",
     "column_correlations",
-    "delta_after_exchange",
     "distance_matrix",
     "exchange",
     "ga_search",

@@ -30,11 +30,11 @@ products ``R`` and a table ``G[u, v] = (u - v)^2``, so ``maxpro_delta``
 scales rows i, j of ``R`` by one ratio vector of two ``G`` rows.  Each
 returns the two new rows of its pair matrix beside the sum, and a commit
 writes them into rows and columns i, j; the maxpro rows are products of
-rounded ratios, so the state rebuilds ``R`` from ``pair_gap_products``
-whenever it recomputes its sum.  ``phi_delta`` returns the change of one
-running pair sum and ``maxpro_delta`` the new value of another; both
-follow one drift policy (``criteria._PairSum``), and the
-evaluator is tested to agree with ``phi_stable`` to 1e-10 for
+rounded ratios, so the state rebuilds ``R`` from the reciprocals that
+``maxpro_sum`` returns whenever it recomputes its sum.  ``phi_delta``
+returns the change of one running pair sum and ``maxpro_delta`` the new
+value of another; both follow one drift policy (``criteria._PairSum``),
+and the evaluator is tested to agree with ``phi_stable`` to 1e-10 for
 1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.  ``phi_sum`` is the plain
 sum of d^-p, which underflows at large p; nothing in the library calls it.
 """
@@ -45,6 +45,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import DegenerateCoordinateError, InvalidDimensionError
 
 
 # gap bytes per block: 1 MiB blocks ran twice as slow at 200x10 and 500x50
@@ -177,15 +179,23 @@ def phi_delta(S: np.ndarray, W: np.ndarray, L: np.ndarray, x: np.ndarray,
     return float(np.add.reduce(g, axis=None)), new
 
 
-def maxpro_sum(X: np.ndarray) -> float:
-    """Sum over row pairs of 1 / ``pair_gap_products``; -1.0 if a gap is
-    zero, ``inf`` if a pair product overflows float64."""
-    pairs = pair_gap_products(X)
-    if pairs.min() == 0.0:
-        return -1.0
-    if pairs.max() == math.inf:
-        return math.inf
-    return float((1.0 / pairs).sum())
+def maxpro_sum(X: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum over row pairs of ``r = 1 / pair_gap_products(X)``, and ``r``.
+
+    A zero gap (``r`` holds ``inf``, or ``NaN`` where the product overflowed
+    before it met the zero) raises ``DegenerateCoordinateError``, a pair
+    product that overflows float64 (``r`` holds 0.0) ``InvalidDimensionError``;
+    NumPy warns of neither."""
+    with np.errstate(all="ignore"):
+        r = 1.0 / pair_gap_products(X)
+    s = float(r.sum())
+    if not s < math.inf:  # else no r is inf or NaN: integer gaps make each r <= 1
+        raise DegenerateCoordinateError(
+            "two rows share a level in some column; maxpro needs an LHD")
+    if r.min() == 0.0:
+        raise InvalidDimensionError(f"maxpro pair products overflow float64 at n={len(X)}, "
+                                    f"k={X.shape[1]}; use a smaller design or another criterion")
+    return s, r
 
 
 def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int,

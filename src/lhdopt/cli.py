@@ -28,11 +28,10 @@ def _standard_criteria(design: np.ndarray, p: int = 15, q: int = 1) -> dict:
     informational, so a maxpro whose pair products overflow float64 is None
     instead of an error."""
     k = design.shape[1]
-    with np.errstate(over="ignore"):
-        try:
-            maxpro = crit.maxpro_psi(design)
-        except InvalidDimensionError:
-            maxpro = None
+    try:
+        maxpro = crit.maxpro_psi(design)
+    except InvalidDimensionError:
+        maxpro = None
     vals = {
         "phi_p": crit.phi_p(design, p, q),
         "maxpro": maxpro,
@@ -169,8 +168,7 @@ def _cmd_evaluate(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
         raise InvalidDesignError("; ".join(report.problems))
     wanted = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    with np.errstate(over="ignore"):  # an overflowing maxpro raises InvalidDimensionError
-        values = {name: crit.evaluate(X, _criterion_from_args(args, name)) for name in wanted}
+    values = {name: crit.evaluate(X, _criterion_from_args(args, name)) for name in wanted}
     out = {"valid": True, "n": report.n, "k": report.k, "criteria": values}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

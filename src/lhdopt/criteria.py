@@ -24,11 +24,9 @@ import numpy as np
 from . import _kernels
 from .design import as_design, as_gap_design, exchange, rearranged_columns
 from .errors import (
-    DegenerateCoordinateError,
     IndexOutOfRangeError,
     InvalidConfigError,
     InvalidDesignError,
-    InvalidDimensionError,
     InvalidWeightError,
     TooFewColumnsError,
     as_exponents,
@@ -123,22 +121,7 @@ def maxpro_psi(design: np.ndarray) -> float:
     """
     X = as_gap_design(design, 1)
     n, k = X.shape
-    npairs = n * (n - 1) // 2
-    return float((_maxpro_total(_kernels.maxpro_sum(X), n, k) / npairs) ** (1.0 / k))
-
-
-def _maxpro_total(s: float, n: int, k: int) -> float:
-    """A maxpro pair sum of an n x k design, with its failure flags raised as errors."""
-    if s < 0.0:
-        raise DegenerateCoordinateError(
-            "two rows share a level in some column; maxpro needs an LHD"
-        )
-    if s == math.inf:
-        raise InvalidDimensionError(
-            f"maxpro pair products overflow float64 at n={n}, k={k}; "
-            "use a smaller design or another criterion"
-        )
-    return s
+    return float((_kernels.maxpro_sum(X)[0] / (n * (n - 1) // 2)) ** (1.0 / k))
 
 
 def _lhd(X: np.ndarray) -> np.ndarray:
@@ -429,9 +412,9 @@ class _MaxproState(_PairSum):
     pair sum ``s`` of ``R``, under the drift policy of ``_PairSum``.  A commit
     writes the rows ``maxpro_delta`` scaled, products of rounded ratios, so
     ``R`` drifts by a few ulps between recomputations; each recomputation
-    rebuilds ``R`` from the design first, so ``s`` and the overflow check
-    read exact reciprocals.  ``s`` takes no floor: it is 1e-86 at 300 x 30,
-    so a floor of 1/_RANGE would resum on every commit."""
+    takes ``s`` and exact reciprocals for ``R`` from ``maxpro_sum``.  ``s``
+    takes no floor: it is 1e-86 at 300 x 30, so a floor of 1/_RANGE would
+    resum on every commit."""
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
@@ -441,9 +424,9 @@ class _MaxproState(_PairSum):
         self._resum(X)
 
     def _exact(self, X: np.ndarray) -> float:
-        r = 1.0 / _kernels.pair_gap_products(X)  # 0.0 where a pair product overflowed
+        s, r = _kernels.maxpro_sum(X)
         self.R = self.M = _kernels.pair_matrix(r, len(X))
-        return _maxpro_total(float(r.sum()) if r.min() else math.inf, len(X), self.k)
+        return s
 
     def _value(self, s: float) -> float:
         return (s / self.pairs[0].size) ** (1.0 / self.k)
@@ -523,14 +506,3 @@ class Evaluator:
         X[i, col], X[j, col] = X[j, col], X[i, col]
         self.state.commit(X, col, i, j)
         self._cache_key = None
-
-
-def delta_after_exchange(
-    design: np.ndarray, spec: CriterionSpec, column: int, i: int, j: int
-) -> float:
-    """Criterion value of ``exchange(design, column, i, j)``, evaluated in
-    full; a combo spec without U takes the exchanged design's phi_p.  A
-    search that proposes many swaps of one LHD uses :class:`Evaluator`,
-    whose ``propose`` updates only the pairs the swap touches.
-    """
-    return evaluate(exchange(design, column, i, j), spec)

@@ -113,11 +113,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_echo(cls, echo: dict) -> "OptimizerConfig":
-        """The config of a run, rebuilt from its ``config_echo``.  A ``combo``
-        criterion's weight is the one the run optimised, so it wins over the
-        echo's own ``weight``."""
+        """The config of a run, rebuilt from its ``config_echo``."""
         kw = {name: echo[name] for name in HYPERPARAMETERS if name in echo}
-        kw["weight"] = echo["criterion"].get("weight", echo.get("weight"))
         return cls(algorithm=echo["algorithm"], max_evaluations=echo["max_evaluations"],
                    seed=RngStream(echo["seed"], echo["stream"]), **kw)
 
@@ -322,13 +319,12 @@ def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
     """Annealing on the weighted combination w*(avg squared correlation) +
     (1-w)*(normalized phi_p); the normalization upper proxy is the starting
     design's phi_p.  Reports both constituents of the best design.
-    ``config.weight``, when set, must be ``w``.
+    ``config.weight``, when set, must be ``w``; the echo records ``w``.
     """
     _check_algorithm(config, "sa-multiobj")
-    if not 0.0 <= w <= 1.0:
-        raise InvalidConfigError(f"weight must be in [0,1], got {w}")
     if config.weight is not None and config.weight != w:
         raise InvalidConfigError(f"config.weight {config.weight} differs from w = {w}")
+    config = replace(config, weight=w)  # checks w and echoes it
     spec = CriterionSpec("combo", p=p, q=q, weight=w)
     result = _anneal_random_start(n, k, spec, config)
     best = result.best

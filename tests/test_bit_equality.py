@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lhdopt import CriterionSpec, _kernels, random_lhd
 from lhdopt.criteria import _CorrState, _MaxproState, _PhiState
+from lhdopt.errors import DegenerateCoordinateError
 from lhdopt.rng import RngStream, permutation
 from lhdopt.search import match_swaps
 
@@ -285,14 +286,21 @@ def test_phi_kernels_equal_reference(X, p, q):
 @example(N2K1)
 @example(np.array([[1, 1], [1, 2]], dtype=np.int64))
 def test_maxpro_sum_equals_reference(X):
-    assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
+    want = ref_maxpro_sum(X)
+    if want == -1.0:
+        with pytest.raises(DegenerateCoordinateError):
+            _kernels.maxpro_sum(X)
+    else:
+        s, r = _kernels.maxpro_sum(X)
+        assert s == want
+        assert np.array_equal(_kernels.pair_matrix(r, len(X)), ref_reciprocals(X))
 
 
 def test_maxpro_sum_in_blocks_equals_reference():
     # 200 x 30 fills its 19900 pair products in ten blocks of 2184 pairs
     for seed in (1, 3):
         X = random_lhd(200, 30, RngStream(seed))
-        assert _kernels.maxpro_sum(X) == ref_maxpro_sum(X)
+        assert _kernels.maxpro_sum(X)[0] == ref_maxpro_sum(X)
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -182,6 +182,16 @@ class TestSearch:
         assert meta["criteria"]["maxpro"] is None
         assert meta["criteria"]["phi_p"] == meta["value"] == phi_p(read_design(out))
 
+    def test_an_overflowing_maxpro_search_is_a_typed_error(self, tmp_path, capsys):
+        # the pair products of a 300 x 150 LHD overflow float64
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would exit 3
+            assert run(["search", "-n", "300", "-k", "150", "--alg", "sa", "--criterion", "maxpro",
+                        "--budget", "10", "-o", str(out)]) == 2
+        assert "maxpro pair products overflow float64 at n=300, k=150" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_lapso_maxcor_beats_random_baseline(self, tmp_path):
         from lhdopt import RngStream, random_lhd
 
@@ -273,6 +283,7 @@ class TestSearch:
         replayed = search_from_echo(result.config_echo)
         assert np.array_equal(replayed.best, result.best)
         assert replayed.value == result.value
+        assert replayed.config_echo == result.config_echo  # a replay echoes its run
 
     def test_edited_echo_with_an_unknown_criterion_field_is_typed(self):
         echo = LIBRARY_RUNS["sa-random-t0"]().config_echo

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from lhdopt import (
-    CriterionSpec,
     RngStream,
     SliceStructure,
-    delta_after_exchange,
     distance_matrix,
     exchange,
     is_slice_valid,
@@ -104,8 +102,6 @@ class TestExchange:
         X = np.array([[1, 1], [2, 2], [3, 3]])
         with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
             exchange(X, c, i, j)
-        with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
-            delta_after_exchange(X, CriterionSpec("phi_p"), c, i, j)
 
     def test_numpy_integer_indices_are_accepted(self):
         X = np.array([[1, 1], [2, 2], [3, 3]])

@@ -1,10 +1,13 @@
 """The kernel module has one implementation per kernel name."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 
 from lhdopt import RngStream, _kernels, maxpro_psi, phi_p, random_lhd
+from lhdopt.errors import DegenerateCoordinateError
 
 
 class TestFallbackPath:
@@ -27,7 +30,18 @@ class TestFallbackPath:
 
     def test_degenerate_flag(self):
         X = np.array([[1, 1], [1, 2]], dtype=np.int64)
-        assert _kernels.maxpro_sum(X) == -1.0
+        with pytest.raises(DegenerateCoordinateError, match="share a level"):
+            _kernels.maxpro_sum(X)
+
+    def test_a_zero_gap_after_an_overflow_is_degenerate(self):
+        # 10 gaps of 1e17 overflow the product before the zero gap meets it:
+        # 0 * inf is NaN, and still a shared level
+        X = np.zeros((2, 11), dtype=np.int64)
+        X[0, :10] = 10**17
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateCoordinateError):
+                _kernels.maxpro_sum(X)
 
 
 def _peak_bytes(fn, *args):

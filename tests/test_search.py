@@ -29,7 +29,7 @@ from lhdopt.cli import search_from_echo
 from lhdopt.constructions import collapse_to_oa, make_oa
 from lhdopt.criteria import evaluate
 from lhdopt import search as S
-from lhdopt.errors import InvalidConfigError, InvalidOAError
+from lhdopt.errors import InvalidConfigError, InvalidOAError, InvalidWeightError
 from lhdopt.io import write_oa
 from lhdopt.rng import two_distinct
 from lhdopt.search import match_swaps
@@ -270,8 +270,10 @@ class TestSaMultiobj:
         assert a.best.tobytes() == b.best.tobytes() and a.value == b.value
 
     def test_invalid_weight(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"weight must be in \[0,1\], got 1.2"):
             sa_multiobj_search(6, 3, 1.2, cfg("sa-multiobj", budget=100))
+        with pytest.raises(InvalidWeightError):
+            sa_multiobj_search(6, 3, None, cfg("sa-multiobj", budget=100))
 
     def test_config_weight_must_match_w(self):
         with pytest.raises(InvalidConfigError, match="differs"):
@@ -279,6 +281,7 @@ class TestSaMultiobj:
         same = sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=300, weight=0.8))
         unset = sa_multiobj_search(6, 3, 0.8, cfg("sa-multiobj", budget=300))
         assert same.value == unset.value
+        assert same.config_echo == unset.config_echo  # both echo the weight w
 
     def test_run_rejects_a_combo_criterion_of_another_weight(self):
         combo = CriterionSpec("combo", weight=0.7)
