@@ -1,10 +1,9 @@
 """Hot numeric kernels: one NumPy implementation each.
 
-The metaheuristic optimizers spend almost all their time in the pair-distance
-and projection sums below.  With one implementation per kernel, a seeded run
-gives the same bits on every install.  Callers go through the module
-attributes (``_kernels.phi_delta(...)``), so a profiler can wrap the names in
-``IMPLEMENTATIONS``.
+The optimizers spend almost all their time in the sums below.  A seeded run
+gives the same bits for one NumPy build, CPU dispatch path and libm; across
+them, powers, ``exp`` and ``log`` can round apart in the last bits.  Callers
+go through the module attributes that a profiler wraps (``IMPLEMENTATIONS``).
 
 Every row-pair gap is an int64 difference, gathered for the full design in
 one place, ``_pair_gap_blocks``, in k x m blocks over the pairs a < b of

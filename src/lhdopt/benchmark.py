@@ -62,20 +62,19 @@ class BenchmarkSpec:
             as_int(spec.slices_t, "slices_t")
         if not isinstance(spec.oa_name, (str, type(None))):
             raise InvalidConfigError(f"oa must be a catalog name or CSV path, got {spec.oa_name!r}")
-        if isinstance(spec.weight, bool) or not isinstance(spec.weight, (int, float, type(None))):
-            raise InvalidConfigError(f"weight must be a number, got {spec.weight!r}")
         if not spec.grid or not spec.algorithms:
             raise InvalidConfigError("benchmark spec needs a non-empty grid and algorithms")
-        if spec.replications < 1 or spec.budget < 1:
-            raise InvalidConfigError("replications and budget must be positive")
+        if spec.replications < 1:
+            raise InvalidConfigError(f"replications must be positive, got {spec.replications}")
+        # each cell passes the config and input checks of run() here, before any cell runs
         for a in spec.algorithms:
-            if a not in S.ALGORITHMS:
-                raise InvalidConfigError(f"unknown algorithm {a!r}")
-            S.check_criterion(a, spec.criterion, spec.weight)
+            config = _config(spec, a)
             missing = S.missing_inputs(a, weight=spec.weight, slices=spec.slices_t, oa=spec.oa_name)
             if missing:
                 fields = " and ".join(repr(_FIELDS.get(m, m)) for m in missing)
                 raise InvalidConfigError(f"{a} needs the spec field {fields}")
+            for n, k in spec.grid:
+                S._checked_search(config, spec.criterion, n, k, spec.slices_t, spec.oa_name)
         return spec
 
     @classmethod
@@ -99,14 +98,16 @@ def cell_stream(algorithm: str, n: int, k: int, rep: int) -> int:
     return int.from_bytes(digest[-8:], "big")
 
 
+def _config(spec: BenchmarkSpec, algorithm: str, stream: int = 0) -> S.OptimizerConfig:
+    """The config of the cells of ``algorithm``, on a cell's ``stream``."""
+    return S.OptimizerConfig(algorithm=algorithm, max_evaluations=spec.budget,
+                             seed=RngStream(spec.base_seed, stream), weight=spec.weight)
+
+
 def _run_cell(spec: BenchmarkSpec, algorithm: str, n: int, k: int, rep: int) -> dict:
     stream = cell_stream(algorithm, n, k, rep)
-    seed = RngStream(spec.base_seed, stream)
-    config = S.OptimizerConfig(
-        algorithm=algorithm, max_evaluations=spec.budget, seed=seed,
-        weight=spec.weight,
-    )
-    res = S.run(config, spec.criterion, n, k, slices=spec.slices_t, oa=spec.oa_name)
+    res = S.run(_config(spec, algorithm, stream), spec.criterion, n, k,
+                slices=spec.slices_t, oa=spec.oa_name)
     return {
         "algorithm": algorithm,
         "n": n,

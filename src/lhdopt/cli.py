@@ -19,37 +19,35 @@ from . import io as lio
 from . import search as S
 from .criteria import CriterionSpec
 from .design import random_lhd, validate
-from .errors import InvalidDesignError, InvalidDimensionError, LhdError
+from .errors import InvalidDesignError, InvalidDimensionError, LhdError, TooFewColumnsError
 from .rng import RngStream
 
 
-def _standard_criteria(design: np.ndarray, p: int = 15, q: int = 1) -> dict:
-    """Criterion values recorded in generate/search metadata; they are
-    informational, so a maxpro whose pair products overflow float64 is None
-    instead of an error."""
-    k = design.shape[1]
-    try:
-        maxpro = crit.maxpro_psi(design)
-    except InvalidDimensionError:
-        maxpro = None
-    vals = {
-        "phi_p": crit.phi_p(design, p, q),
-        "maxpro": maxpro,
-    }
-    if k >= 2:
-        vals["avgcor"] = crit.avg_abs_cor(design)
-        vals["maxcor"] = crit.max_abs_cor(design)
-        vals["orthogonal"] = vals["maxcor"] == 0.0  # exact: every integer Gram entry is 0
-    else:
-        vals["avgcor"] = None
-        vals["maxcor"] = None
-        vals["orthogonal"] = None
+_SIDECAR_KINDS = ("phi_p", "maxpro", "avgcor", "maxcor")  # also evaluate's default
+
+
+def _standard_criteria(design: np.ndarray) -> dict:
+    """Criterion values recorded in generate/search metadata: informational,
+    so None where the design has too few columns or overflows float64."""
+    vals = {}
+    for kind in _SIDECAR_KINDS:
+        try:
+            vals[kind] = crit.evaluate(design, CriterionSpec(kind))
+        except (TooFewColumnsError, InvalidDimensionError):
+            vals[kind] = None
+    vals["orthogonal"] = None if vals["maxcor"] is None else vals["maxcor"] == 0.0  # exact
     return vals
 
 
 def _add_seed_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--stream", type=int, default=0, help="64-bit stream id (default 0)")
+
+
+def _add_criterion_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", type=int, help=f"phi_p exponent (default {CriterionSpec.p})")
+    p.add_argument("--q", type=int, choices=(1, 2), help="distance exponent")
+    p.add_argument("--weight", type=float, help="combo (or sa-multiobj) weight in [0,1]")
 
 
 # ---------------------------------------------------------------------------
@@ -107,28 +105,28 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _given(args, names) -> dict:
+    """The options among ``names`` that are given; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _criterion_from_args(args, kind: str) -> CriterionSpec:
-    if kind != "combo":
-        return CriterionSpec(kind, p=args.p, q=args.q)
-    if args.weight is None:
+    if kind == "combo" and args.weight is None:
         raise LhdError("criterion 'combo' needs --weight")
-    return CriterionSpec(kind, p=args.p, q=args.q, weight=args.weight)
+    names = ("p", "q", "weight") if kind == "combo" else ("p", "q")
+    return CriterionSpec(kind, **_given(args, names))
 
 
 def _config_from_args(args) -> S.OptimizerConfig:
     return S.OptimizerConfig(algorithm=args.alg, max_evaluations=args.budget,
                              seed=RngStream(args.seed, args.stream),
-                             **{name: getattr(args, name) for name in S.HYPERPARAMETERS})
-
-
-def run_search_from_args(args) -> S.SearchResult:
-    spec = _criterion_from_args(args, args.criterion)
-    return S.run(_config_from_args(args), spec, args.n, args.k, slices=args.slices, oa=args.oa)
+                             **_given(args, S.HYPERPARAMETERS))
 
 
 def _cmd_search(args) -> int:
     lio.check_writable(args.output, args.trace, lio.sidecar_path(args.output))
-    result = run_search_from_args(args)
+    spec = _criterion_from_args(args, args.criterion)
+    result = S.run(_config_from_args(args), spec, args.n, args.k, slices=args.slices, oa=args.oa)
     meta = {
         "value": result.value,
         "evaluations_used": result.evaluations_used,
@@ -227,18 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--criterion", default="phi_p", choices=crit.KINDS)
     s.add_argument("--budget", type=int, required=True, help="criterion evaluations")
     _add_seed_args(s)
-    s.add_argument("--p", type=int, default=15, help="phi_p exponent (default 15)")
-    s.add_argument("--q", type=int, default=1, choices=(1, 2), help="distance exponent")
-    s.add_argument("--weight", type=float, help="combo / sa-multiobj weight in [0,1]")
+    _add_criterion_args(s)
     s.add_argument("--slices", type=int, help="sa-sliced: slice count t")
     s.add_argument("--oa", help="oasa: catalog OA name or OA CSV path")
     s.add_argument("--t0", type=float, help="SA initial temperature")
-    s.add_argument("--alpha", type=float, default=0.95, help="SA cooling rate")
+    s.add_argument("--alpha", type=float, help="SA cooling rate")
     s.add_argument("--moves-per-temp", type=int, help="SA moves per temperature")
-    s.add_argument("--column-mode", choices=("cycle", "random"), default="cycle")
-    s.add_argument("--pop", type=int, default=10, dest="population", help="GA population size")
+    s.add_argument("--column-mode", choices=("cycle", "random"))
+    s.add_argument("--pop", type=int, dest="population", help="GA population size")
     s.add_argument("--pmut", type=float, help="GA/LaPSO mutation probability")
-    s.add_argument("--swarm", type=int, default=10, help="LaPSO swarm size")
+    s.add_argument("--swarm", type=int, help="LaPSO swarm size")
     s.add_argument("--same-num-p", type=int, help="LaPSO swaps toward personal best")
     s.add_argument("--same-num-g", type=int, help="LaPSO swaps toward global best")
     s.add_argument("-o", "--output", required=True, help="best-design CSV path")
@@ -247,11 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="criterion report for a design file")
     e.add_argument("design", help="design CSV path")
-    e.add_argument("--criteria", default="phi_p,maxpro,avgcor,maxcor",
+    e.add_argument("--criteria", default=",".join(_SIDECAR_KINDS),
                    help="comma-separated criterion names")
-    e.add_argument("--p", type=int, default=15)
-    e.add_argument("--q", type=int, default=1, choices=(1, 2))
-    e.add_argument("--weight", type=float)
+    _add_criterion_args(e)
     e.set_defaults(fn=_cmd_evaluate)
 
     b = sub.add_parser("benchmark", help="run a benchmark spec")

@@ -35,11 +35,14 @@ def write_text(path: str | Path, text: str) -> Path:
 
 def check_writable(*paths: str | Path | None) -> None:
     """Raise the ``LhdError`` of a failed write, before any work is done, for
-    an output path (``None`` skipped) that is a directory or that is not
-    writable, or whose directory is missing or not writable."""
-    for path in (Path(p) for p in paths if p is not None):
+    an output path (``None`` skipped) that is a directory, is not writable, is
+    in a missing or unwritable directory, or names the file of an earlier one."""
+    named = [Path(p) for p in paths if p is not None]
+    for i, path in enumerate(named):
         if path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK):
             raise LhdError(f"cannot write {path}: not a writable file in a writable directory")
+        if path.resolve() in (earlier.resolve() for earlier in named[:i]):
+            raise LhdError(f"cannot write {path}: two outputs name this one file")
 
 
 def write_design(path: str | Path, design: np.ndarray) -> Path:

@@ -559,17 +559,6 @@ def missing_inputs(algorithm: str, **given) -> list[str]:
     return [name for name in NEEDS[algorithm] if name in given and given[name] is None]
 
 
-def check_criterion(algorithm: str, spec: CriterionSpec, weight: float | None) -> None:
-    """Raise unless ``algorithm`` optimises ``spec``: sa-multiobj optimises
-    combo at ``weight``, built from a phi_p or combo spec's p and q, so a
-    combo spec must have that weight."""
-    if algorithm == "sa-multiobj" and spec.kind not in ("phi_p", "combo"):
-        raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {spec.kind}")
-    if algorithm == "sa-multiobj" and spec.kind == "combo" and weight not in (None, spec.weight):
-        raise InvalidConfigError(
-            f"sa-multiobj weight {weight} differs from the combo criterion's {spec.weight}")
-
-
 def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
         k: int | None = None, *, slices: int | None = None,
         oa: str | None = None) -> SearchResult:
@@ -580,6 +569,14 @@ def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
     echo alone.  The search functions are looked up when called, so a
     wrapper installed on ``lhdopt.search.<name>_search`` sees this call.
     """
+    result = _checked_search(config, spec, n, k, slices, oa)()
+    if config.algorithm == "oasa":
+        result.config_echo["oa_name"] = oa
+    return result
+
+
+def _checked_search(config: OptimizerConfig, spec: CriterionSpec, n, k, slices, oa):
+    """``run``'s input checks, then its search as a call of no arguments."""
     alg = config.algorithm
     missing = missing_inputs(alg, n=n, k=k, weight=config.weight, slices=slices, oa=oa)
     if missing:
@@ -589,12 +586,16 @@ def run(config: OptimizerConfig, spec: CriterionSpec, n: int | None = None,
         if any(v is not None and v != want for v, want in ((n, arr.N), (k, arr.K))):
             raise InvalidConfigError(
                 f"(n, k) = ({n}, {k}) does not match {oa} = ({arr.N}, {arr.K})")
-        result = oasa_search(arr, spec, config)
-        result.config_echo["oa_name"] = oa
-        return result
-    check_criterion(alg, spec, config.weight)
-    if alg == "sa-multiobj":
-        return sa_multiobj_search(n, k, config.weight, config, p=spec.p, q=spec.q)
+        return lambda: oasa_search(arr, spec, config)
+    if alg == "sa-multiobj":  # combo at config.weight, from a phi_p or combo spec's p and q
+        if spec.kind not in ("phi_p", "combo"):
+            raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {spec.kind}")
+        if spec.kind == "combo" and config.weight != spec.weight:
+            raise InvalidConfigError(f"sa-multiobj weight {config.weight} differs from "
+                                     f"the combo criterion's {spec.weight}")
+        return lambda: sa_multiobj_search(n, k, config.weight, config, p=spec.p, q=spec.q)
     if alg == "sa-sliced":
-        return sliced_sa_search(make_slices(n, slices), k, spec, config)
-    return {"sa": sa_search, "ga": ga_search, "lapso": lapso_search}[alg](n, k, spec, config)
+        structure = make_slices(n, slices)
+        return lambda: sliced_sa_search(structure, k, spec, config)
+    return lambda: {"sa": sa_search, "ga": ga_search,
+                    "lapso": lapso_search}[alg](n, k, spec, config)

@@ -15,7 +15,7 @@ from lhdopt.benchmark import (
 )
 from lhdopt.cli import main
 from lhdopt.constructions import good_oa_catalog
-from lhdopt.errors import InvalidConfigError
+from lhdopt.errors import IndivisibleRunsError, InvalidConfigError, InvalidParameterError
 from lhdopt.io import write_oa
 
 
@@ -74,6 +74,19 @@ class TestSpecParsing:
         with pytest.raises(InvalidConfigError, match="weight 0.3 differs from the combo"):
             small_spec(algorithms=["sa-multiobj"], weight=0.3,
                        criterion={"kind": "combo", "weight": 0.7})
+
+    @pytest.mark.parametrize("overrides,error,message", [
+        ({"grid": [[8, 2], [9, 2]], "algorithms": ["sa", "sa-sliced"], "slices_t": 2},
+         IndivisibleRunsError, "run count 9 not divisible by t=2"),
+        ({"grid": [[8, 2]], "algorithms": ["sa-sliced"], "slices_t": 8},
+         IndivisibleRunsError, "need at least 2 runs per slice, got m=1"),
+        ({"base_seed": -1}, InvalidParameterError, r"seed must be an integer in \[0, 2\^64\)"),
+        ({"weight": 1.5}, InvalidConfigError, r"weight must be in \[0,1\], got 1.5"),
+    ])
+    def test_cell_inputs_that_run_refuses_are_refused_at_load(self, overrides, error, message):
+        # each loaded at the parent and stopped only when a run reached the cell
+        with pytest.raises(error, match=message):
+            small_spec(**overrides)
 
     def test_cell_streams_are_distinct_and_stable(self):
         s1 = cell_stream("sa", 4, 2, 1)
@@ -172,10 +185,10 @@ class TestRunBenchmark:
                           replications=1, budget=500)
         rows, _ = run_benchmark(spec)
         assert rows[0]["n"] == 9 and rows[0]["k"] == 4
-        bad = small_spec(grid=[[8, 4]], algorithms=["oasa"], oa="OA(9,4,3,2)",
-                         replications=1, budget=500)
-        with pytest.raises(InvalidConfigError):
-            run_benchmark(bad)
+        # refused when the spec loads, before any cell runs
+        with pytest.raises(InvalidConfigError, match=r"^\(n, k\) = \(8, 4\) does not match"):
+            small_spec(grid=[[9, 4], [8, 4]], algorithms=["oasa"], oa="OA(9,4,3,2)",
+                       replications=1, budget=500)
 
     def test_oa_field_resolves_like_the_cli_option(self, tmp_path):
         path = write_oa(tmp_path / "oa9.csv", good_oa_catalog("OA(9,4,3,2)"))
@@ -253,16 +266,18 @@ class TestBenchmarkCli:
                                                                  monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # use the pool on any runner
         spec_file = tmp_path / "spec.json"
+        # the spec loads; the search of each cell refuses a one-column avgcor
         spec_file.write_text(json.dumps({
-            "grid": [[9, 4]], "algorithms": ["oasa"], "oa": "/nonexistent/oa.csv",
+            "grid": [[4, 1]], "algorithms": ["sa"], "criterion": {"kind": "avgcor"},
             "replications": 2, "budget": 100, "base_seed": 1,
         }))
+        BenchmarkSpec.from_json(spec_file)
         errs = []
         for workers in ("1", "2"):
             assert main(["benchmark", str(spec_file), "-o", str(tmp_path / "r.csv"),
                          "--workers", workers]) == 2
             errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] and "/nonexistent/oa.csv" in errs[0]
+        assert errs[0] == errs[1] == "lhdopt: need at least 2 columns, got k=1\n"
 
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -1,7 +1,9 @@
 """CLI behavior: file outputs, exit codes, determinism, metadata replay."""
 
+import argparse
 import json
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from lhdopt import (
     lapso_search,
     make_slices,
     max_abs_cor,
+    maxpro_psi,
     oasa_search,
     phi_p,
     sa_multiobj_search,
@@ -23,7 +26,7 @@ from lhdopt import (
     sliced_sa_search,
     validate,
 )
-from lhdopt import cli, criteria as crit
+from lhdopt import cli, criteria as crit, search as S
 from lhdopt.cli import main, search_from_echo
 from lhdopt.errors import InvalidConfigError
 from lhdopt.io import read_design
@@ -145,6 +148,21 @@ class TestGenerate:
         # asked for by name, maxpro still fails
         assert run(["evaluate", str(out), "--criteria", "maxpro"]) == 2
         assert "maxpro pair products overflow float64" in capsys.readouterr().err
+
+    def test_a_design_named_like_its_sidecar_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d.json"  # the sidecar of d.json is d.json itself
+        assert run(["generate", "--random", "-n", "4", "-k", "2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"lhdopt: cannot write {out}: two outputs name this one file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_column_sidecar(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(["generate", "--random", "-n", "5", "-k", "1", "-o", str(out)]) == 0
+        criteria = json.loads(out.with_suffix(".json").read_text())["criteria"]
+        assert criteria["avgcor"] is criteria["maxcor"] is criteria["orthogonal"] is None
+        X = read_design(out)
+        assert criteria["phi_p"] == phi_p(X) and criteria["maxpro"] == maxpro_psi(X)
 
     def test_orthogonal_is_an_exact_zero_maxcor(self, monkeypatch):
         X = np.array([[1, 1], [2, 2], [3, 3]], dtype=np.int64)
@@ -337,6 +355,23 @@ class TestSearch:
         assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {trace}: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("trace", ["s.csv", "s.json"])
+    def test_a_trace_named_like_another_output_exits_2(self, tmp_path, capsys, trace):
+        assert run(["search", "-n", "6", "-k", "2", "--alg", "sa", "--budget", "50",
+                    "-o", str(tmp_path / "s.csv"), "--trace", str(tmp_path / trace)]) == 2
+        assert capsys.readouterr().err == \
+            f"lhdopt: cannot write {tmp_path / trace}: two outputs name this one file\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_column_sidecar(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert run(["search", "-n", "5", "-k", "1", "--alg", "sa", "--budget", "50",
+                    "-o", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".json").read_text())
+        criteria = meta["criteria"]
+        assert criteria["avgcor"] is criteria["maxcor"] is criteria["orthogonal"] is None
+        assert criteria["phi_p"] == meta["value"] == phi_p(read_design(out))
+
     @pytest.mark.parametrize("t0", ["nan", "inf"])
     def test_non_finite_t0_exits_2(self, tmp_path, capsys, t0):
         out = tmp_path / "x.csv"
@@ -388,3 +423,38 @@ class TestBenchmark:
         assert run(["benchmark", str(spec), "-o", str(out), "--summary", str(summary)]) == 2
         assert capsys.readouterr().err.startswith(f"lhdopt: cannot write {summary}: ")
         assert list(tmp_path.iterdir()) == [spec]
+
+    def test_summary_named_like_the_results_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"grid": [[4, 2]], "algorithms": ["sa"], "replications": 1,
+                                    "budget": 100, "base_seed": 1}))
+        out = tmp_path / "r.csv"
+        assert run(["benchmark", str(spec), "-o", str(out), "--summary", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"lhdopt: cannot write {out}: two outputs name this one file\n"
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_a_cell_that_run_refuses_stops_the_spec_before_any_cell_runs(self, tmp_path,
+                                                                          capsys, monkeypatch):
+        searches = []
+        monkeypatch.setattr(S, "sliced_sa_search", lambda *a: searches.append(a))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"grid": [[8, 2], [9, 2]], "algorithms": ["sa-sliced"],
+                                    "slices_t": 2, "replications": 1, "budget": 50,
+                                    "base_seed": 1}))
+        assert run(["benchmark", str(spec), "-o", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr() == ("", "lhdopt: run count 9 not divisible by t=2\n")
+        assert searches == [] and list(tmp_path.iterdir()) == [spec]
+
+
+class TestParser:
+    def test_no_option_restates_a_library_default(self):
+        # an unset option is None, and the library gives it its default
+        defaulted = {f.name for cls in (OptimizerConfig, CriterionSpec) for f in fields(cls)
+                     if f.default is not MISSING}
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if action.dest in defaulted:
+                    assert action.default is None, (command, action.dest)
