@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .design import as_design, exact_int64, parse_int_csv, rearranged_columns, validate
+from .design import _freeze, as_design, exact_int64, parse_int_csv, rearranged_columns, validate
 from .errors import (
     DimensionMismatchError,
     InvalidOAError,
@@ -158,8 +158,7 @@ def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | Draws | None = None) -> np.n
     ascending).  Collapsing the result via ceil(x*s/N) recovers the source
     array exactly.
     """
-    N, K, s = oa.N, oa.K, oa.s
-    reps = N // s
+    N, K, s, reps = oa.N, oa.K, oa.s, oa.reps
     draws = None if rng is None else as_draws(rng)
     X = np.empty((N, K), dtype=np.int64)
     for c in range(K):
@@ -169,8 +168,7 @@ def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | Draws | None = None) -> np.n
             if draws is not None:
                 fine = fine[permutation(draws, reps) - 1]
             X[pos, c] = fine
-    X.setflags(write=False)
-    return X
+    return _freeze(X)
 
 
 def collapse_to_oa(design: np.ndarray, s: int) -> np.ndarray:
@@ -228,9 +226,7 @@ def _centered_to_levels(X: np.ndarray) -> np.ndarray:
         out = X + (n // 2 + 1)
     else:
         out = ((2 * X - np.sign(X)) + n + 1) // 2
-    out = out.astype(np.int64)
-    out.setflags(write=False)
-    return out
+    return _freeze(out.astype(np.int64))
 
 
 def _pair_flip_olhd(m: int, pairs) -> np.ndarray:
@@ -343,9 +339,7 @@ def olhd_butler2001(n: int, k: int) -> np.ndarray:
         score = np.abs(Z[:, :g - 1].T @ shifted).max(axis=0, initial=worst)
         s = int(np.argmin(score))
         worst, Z[:, g - 1] = score[s], shifted[:, s]
-    X = (Z + n + 1) // 2
-    X.setflags(write=False)
-    return X
+    return _freeze((Z + n + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +376,4 @@ def olhd_lin2009(olhd: np.ndarray, oa: OrthogonalArray) -> np.ndarray:
         for a in range(p):
             out += [Zu[:, a] + n * Zv[:, a], n * Zu[:, a] - Zv[:, a]]
     D2 = np.column_stack(out)  # doubled-centered levels of the n^2-run design
-    X = (D2 + n * n + 1) // 2
-    X.setflags(write=False)
-    return X
+    return _freeze((D2 + n * n + 1) // 2)

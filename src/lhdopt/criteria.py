@@ -103,7 +103,7 @@ class CriterionSpec:
         return cls(**kw)
 
 
-def phi_p(design: np.ndarray, p: int = 15, q: int = 1) -> float:
+def phi_p(design: np.ndarray, p: int = CriterionSpec.p, q: int = CriterionSpec.q) -> float:
     """Morris-Mitchell maximin surrogate: (sum over pairs of d_ij^-p)^(1/p).
 
     Computed with the smallest distance factored out, so large p cannot
@@ -169,11 +169,17 @@ def _pair_gram(Z: np.ndarray) -> np.ndarray:
     return (Z.T @ Z)[a, b]
 
 
+def check_columns(kind: str, k: int) -> None:
+    """Refuse k < 2 for a correlation statistic (``_COR_STATS``): one column
+    has no column pair.  ``combo`` takes its avgsqcor term as 0.0 there."""
+    if kind in _COR_STATS and k < 2:
+        raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
+
+
 def _correlation(design: np.ndarray, stat: str) -> float:
     X = as_design(design)
     n, k = X.shape
-    if k < 2:
-        raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
+    check_columns(stat, k)
     return _COR_STATS[stat](_pair_gram(_doubled_centered(X)), _level_ss(n), k * (k - 1) // 2)
 
 
@@ -384,8 +390,7 @@ class _CorrState:
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
-        if k < 2 and spec.kind != "combo":
-            raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
+        check_columns(spec.kind, k)
         a, b = _kernels.pair_indices(k)
         self.g = _pair_gram(2 * X - (n + 1))  # X is an LHD: Evaluator checked it
         self.pos = [np.flatnonzero((a == c) | (b == c)) for c in range(k)]

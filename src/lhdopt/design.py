@@ -89,6 +89,15 @@ def parse_int_csv(text: str) -> np.ndarray:
                      for line in text.strip().splitlines() if line.strip()], dtype=np.int64)
 
 
+def as_size(n: int, k: int) -> tuple[int, int]:
+    """The run and factor counts of an LHD as ints, n >= 2 and k >= 1, or
+    ``InvalidDimensionError``."""
+    n, k = as_int(n, "n", InvalidDimensionError), as_int(k, "k", InvalidDimensionError)
+    if n < 2 or k < 1:
+        raise InvalidDimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    return n, k
+
+
 def random_lhd(n: int, k: int, rng: RngStream | Draws) -> np.ndarray:
     """Random LHD: each column an independent Fisher-Yates permutation of 1..n.
 
@@ -96,9 +105,7 @@ def random_lhd(n: int, k: int, rng: RngStream | Draws) -> np.ndarray:
     same design.  Columns are drawn left to right, from the start of an
     ``RngStream`` or from where a ``Draws`` stands (``rng.as_draws``).
     """
-    n, k = as_int(n, "n", InvalidDimensionError), as_int(k, "k", InvalidDimensionError)
-    if n < 2 or k < 1:
-        raise InvalidDimensionError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
+    n, k = as_size(n, k)
     draws = as_draws(rng)
     X = np.empty((n, k), dtype=np.int64)
     for c in range(k):

@@ -53,7 +53,8 @@ class RngStream:
 
     def __post_init__(self):
         for name, v in (("seed", self.seed), ("stream", self.stream)):
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < _U64:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) \
+                    or not 0 <= int(v) < _U64:
                 raise InvalidParameterError(
                     f"{name} must be an integer in [0, 2^64), got {v!r}"
                 )

@@ -30,7 +30,7 @@ import numpy as np
 from . import criteria as crit
 from .constructions import OrthogonalArray, oa_to_lhd
 from .criteria import CriterionSpec, Evaluator
-from .design import SliceStructure, make_slices, random_lhd
+from .design import SliceStructure, as_size, make_slices, random_lhd
 from .errors import InvalidConfigError, as_int
 from .io import load_oa
 from .rng import Draws, RngStream, permutation, two_distinct
@@ -150,39 +150,19 @@ class SearchResult:
     extras: dict = field(default_factory=dict)
 
 
-def _echo(config: OptimizerConfig, spec: CriterionSpec, n: int, k: int, **extra) -> dict:
-    d = {
-        "algorithm": config.algorithm,
-        "n": int(n),
-        "k": int(k),
-        "criterion": spec.to_dict(),
-        "max_evaluations": int(config.max_evaluations),
-        "seed": int(config.seed.seed),
-        "stream": int(config.seed.stream),
-    }
-    for name in HYPERPARAMETERS:
-        v = getattr(config, name)
-        if v is not None:
-            d[name] = v
-    d.update(extra)
-    return d
-
-
-def _check_algorithm(config: OptimizerConfig, algorithm: str) -> None:
-    """Refuse a config of another algorithm than ``algorithm``, the one the
-    calling search runs: its echo would replay the other search."""
-    if config.algorithm != algorithm:
-        raise InvalidConfigError(f"this search runs {algorithm}, not {config.algorithm!r}")
-
-
 class _Run:
-    """One search run: its draws, its evaluation budget with the best-so-far
-    trace, and its clock.  ``result`` builds the run's ``SearchResult``.
-    Sliced stage 1 runs each slice on a sub-run of ``limit`` evaluations that
-    shares the parent's ``draws``."""
+    """One run of the search of ``algorithm``: its draws, its evaluation
+    budget with the best-so-far trace, and its clock.  It refuses a config
+    of another algorithm before it takes the draws, since the echo would
+    replay the other search; ``start`` records the start design's
+    evaluation; ``result`` builds the ``SearchResult`` with the echo of
+    ``config``, the config that ran.  Sliced stage 1 runs each slice on a
+    sub-run of ``limit`` evaluations that shares the parent's ``draws``."""
 
-    def __init__(self, config: OptimizerConfig, limit: int | None = None,
+    def __init__(self, config: OptimizerConfig, algorithm: str, limit: int | None = None,
                  draws: Draws | None = None):
+        if config.algorithm != algorithm:
+            raise InvalidConfigError(f"this search runs {algorithm}, not {config.algorithm!r}")
         self.started = time.perf_counter()
         self.config = config
         self.draws = config.seed.draws() if draws is None else draws
@@ -202,7 +182,30 @@ class _Run:
             self.best = np.array(design, dtype=np.int64, order="C")
             self.trace.append((self.used, value))
 
-    def result(self, echo: dict, extras: dict | None = None) -> SearchResult:
+    def start(self, design: np.ndarray, spec: CriterionSpec) -> Evaluator:
+        """An ``Evaluator`` on the start ``design``, its value recorded."""
+        ev = Evaluator(design, spec)
+        self.record(ev.value(), ev.X)
+        return ev
+
+    def result(self, spec: CriterionSpec, n: int, k: int, extras: dict | None = None,
+               **echo) -> SearchResult:
+        """The run's result; ``echo`` adds keys to the config echo."""
+        config = self.config
+        d = {
+            "algorithm": config.algorithm,
+            "n": int(n),
+            "k": int(k),
+            "criterion": spec.to_dict(),
+            "max_evaluations": int(config.max_evaluations),
+            "seed": int(config.seed.seed),
+            "stream": int(config.seed.stream),
+        }
+        for name in HYPERPARAMETERS:
+            v = getattr(config, name)
+            if v is not None:
+                d[name] = v
+        d.update(echo)
         if not self.trace or self.trace[-1] != (self.used, self.best_value):
             self.trace.append((self.used, self.best_value))
         self.best.setflags(write=False)
@@ -212,7 +215,7 @@ class _Run:
             evaluations_used=self.used,
             trace=self.trace,
             elapsed=time.perf_counter() - self.started,
-            config_echo=echo,
+            config_echo=d,
             extras=extras or {},
         )
 
@@ -259,12 +262,6 @@ def _sa_loop(ev: Evaluator, run: _Run, propose, on_commit=None) -> None:
             t *= config.alpha
 
 
-def _init_sa(design: np.ndarray, spec: CriterionSpec, run: _Run) -> Evaluator:
-    ev = Evaluator(design, spec)
-    run.record(ev.value(), ev.X)
-    return ev
-
-
 def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
     """Simulated annealing from a random start.
 
@@ -272,18 +269,14 @@ def sa_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> S
     ``column_mode='random'``); the two rows are uniform distinct draws.
     Returns the best design visited, not the final state.
     """
-    _check_algorithm(config, "sa")
-    return _anneal_random_start(n, k, spec, config)
+    return _anneal_random_start(_Run(config, "sa"), n, k, spec)
 
 
-def _anneal_random_start(n: int, k: int, spec: CriterionSpec,
-                         config: OptimizerConfig) -> SearchResult:
-    """The annealer of ``sa_search`` and ``sa_multiobj_search``, each of which
-    checks that ``config`` is its own first."""
-    run = _Run(config)
-    ev = _init_sa(random_lhd(n, k, run.draws), spec, run)
+def _anneal_random_start(run: _Run, n: int, k: int, spec: CriterionSpec) -> SearchResult:
+    """The annealer of ``sa_search`` and ``sa_multiobj_search``, on the run each builds."""
+    ev = run.start(random_lhd(n, k, run.draws), spec)
     _sa_loop(ev, run, lambda col: two_distinct(run.draws, n))
-    return run.result(_echo(config, ev.spec, n, k))
+    return run.result(ev.spec, n, k)
 
 
 def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfig) -> SearchResult:
@@ -291,10 +284,9 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
     and only swap positions that hold the same source symbol, so every
     visited design still collapses back to the array.
     """
-    _check_algorithm(config, "oasa")
-    run = _Run(config)
+    run = _Run(config, "oasa")
     draws = run.draws
-    ev = _init_sa(oa_to_lhd(oa), spec, run)
+    ev = run.start(oa_to_lhd(oa), spec)
     n, k = oa.N, oa.K
     groups = [
         [np.nonzero(oa.cells[:, c] == m)[0] for m in range(1, oa.s + 1)]
@@ -311,22 +303,21 @@ def oasa_search(oa: OrthogonalArray, spec: CriterionSpec, config: OptimizerConfi
         return i, j
 
     _sa_loop(ev, run, propose)
-    return run.result(_echo(config, ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength]))
+    return run.result(ev.spec, n, k, oa_shape=[oa.N, oa.K, oa.s, oa.strength])
 
 
 def sa_multiobj_search(n: int, k: int, w: float, config: OptimizerConfig,
-                       p: int = 15, q: int = 1) -> SearchResult:
+                       p: int = CriterionSpec.p, q: int = CriterionSpec.q) -> SearchResult:
     """Annealing on the weighted combination w*(avg squared correlation) +
     (1-w)*(normalized phi_p); the normalization upper proxy is the starting
     design's phi_p.  Reports both constituents of the best design.
     ``config.weight``, when set, must be ``w``; the echo records ``w``.
     """
-    _check_algorithm(config, "sa-multiobj")
+    run = _Run(config, "sa-multiobj")
     if config.weight is not None and config.weight != w:
         raise InvalidConfigError(f"config.weight {config.weight} differs from w = {w}")
-    config = replace(config, weight=w)  # checks w and echoes it
-    spec = CriterionSpec("combo", p=p, q=q, weight=w)
-    result = _anneal_random_start(n, k, spec, config)
+    run.config = replace(config, weight=w)  # checks w and echoes it
+    result = _anneal_random_start(run, n, k, CriterionSpec("combo", p=p, q=q, weight=w))
     best = result.best
     result.extras = {
         "avg_sq_cor": crit.avg_sq_cor(best),
@@ -350,10 +341,8 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
     n-run design's: stage 1 takes each slice's own from its collapsed start.
     """
     t, m, n = slices.t, slices.m, slices.n
-    if k < 1:
-        raise InvalidConfigError(f"need k >= 1, got {k}")
-    _check_algorithm(config, "sa-sliced")
-    run = _Run(config)
+    n, k = as_size(n, k)
+    run = _Run(config, "sa-sliced")
     draws = run.draws
 
     # random slice-valid start: spread each bin's t values one per slice,
@@ -380,13 +369,13 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
             ri, rj = rows[i], rows[j]
             X[ri, col], X[rj, col] = X[rj, col], X[ri, col]
 
-        sub = _Run(config, per_slice, draws)
-        collapsed = _init_sa((X[rows] + t - 1) // t, replace(spec, norm_upper=None), sub)
+        sub = _Run(config, "sa-sliced", per_slice, draws)
+        collapsed = sub.start((X[rows] + t - 1) // t, replace(spec, norm_upper=None))
         _sa_loop(collapsed, sub, lambda col: two_distinct(draws, m), on_commit=apply_to_full)
         run.used += sub.used  # collapsed evals count, best is full-design only
 
     # stage 2: same-bin cross-slice swaps on the assembled design
-    ev = _init_sa(X, spec, run)
+    ev = run.start(X, spec)
     rowof = [np.argsort(X[:, c]) for c in range(k)]  # rowof[c][v - 1]: row of level v
 
     def propose(col: int):
@@ -399,8 +388,8 @@ def sliced_sa_search(slices: SliceStructure, k: int, spec: CriterionSpec,
         rowof[col][ev.X[j, col] - 1] = j
 
     _sa_loop(ev, run, propose, relink)
-    return run.result(_echo(config, ev.spec, n, k, slices={"t": t, "m": m}),
-                      {"stage1_evaluations": min(stage1_budget, run.used)})
+    return run.result(ev.spec, n, k, {"stage1_evaluations": min(stage1_budget, run.used)},
+                      slices={"t": t, "m": m})
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +425,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> S
     one random within-column swap to each column independently with
     probability pmut.
     """
-    _check_algorithm(config, "ga")
-    run = _Run(config)
+    run = _Run(config, "ga")
     draws = run.draws
     pop_size = config.population
     pmut = config.pmut if config.pmut is not None else 0.25
@@ -466,7 +454,7 @@ def ga_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -> S
         pop = new_pop
         vals = new_vals
 
-    return run.result(_echo(config, spec, n, k, pmut_effective=pmut))
+    return run.result(spec, n, k, pmut_effective=pmut)
 
 
 def match_swaps(cur: list, where: list, target: list, count: int, draws: Draws) -> None:
@@ -505,8 +493,7 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -
     taken from its design once per move; the bests are kept as the column
     lists of the move that found them.
     """
-    _check_algorithm(config, "lapso")
-    run = _Run(config)
+    run = _Run(config, "lapso")
     draws = run.draws
     particles, pvals, spec = _random_starts(config.swarm, n, k, spec, run)
     snp = config.same_num_p if config.same_num_p is not None else math.ceil(n / 4)
@@ -545,8 +532,8 @@ def lapso_search(n: int, k: int, spec: CriterionSpec, config: OptimizerConfig) -
                 gval = v
                 gbest = cols
 
-    return run.result(_echo(config, spec, n, k, same_num_p_effective=snp,
-                            same_num_g_effective=sng, pmut_effective=pmut))
+    return run.result(spec, n, k, same_num_p_effective=snp, same_num_g_effective=sng,
+                      pmut_effective=pmut)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +574,8 @@ def _checked_search(config: OptimizerConfig, spec: CriterionSpec, n, k, slices, 
             raise InvalidConfigError(
                 f"(n, k) = ({n}, {k}) does not match {oa} = ({arr.N}, {arr.K})")
         return lambda: oasa_search(arr, spec, config)
+    n, k = as_size(n, k)
+    crit.check_columns(spec.kind, k)
     if alg == "sa-multiobj":  # combo at config.weight, from a phi_p or combo spec's p and q
         if spec.kind not in ("phi_p", "combo"):
             raise InvalidConfigError(f"sa-multiobj takes criterion phi_p or combo, got {spec.kind}")

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from lhdopt import search as S
 from lhdopt.benchmark import (
     BenchmarkSpec,
     cell_stream,
@@ -15,7 +16,13 @@ from lhdopt.benchmark import (
 )
 from lhdopt.cli import main
 from lhdopt.constructions import good_oa_catalog
-from lhdopt.errors import IndivisibleRunsError, InvalidConfigError, InvalidParameterError
+from lhdopt.errors import (
+    IndivisibleRunsError,
+    InvalidConfigError,
+    InvalidDimensionError,
+    InvalidParameterError,
+    TooFewColumnsError,
+)
 from lhdopt.io import write_oa
 
 
@@ -82,6 +89,12 @@ class TestSpecParsing:
          IndivisibleRunsError, "need at least 2 runs per slice, got m=1"),
         ({"base_seed": -1}, InvalidParameterError, r"seed must be an integer in \[0, 2\^64\)"),
         ({"weight": 1.5}, InvalidConfigError, r"weight must be in \[0,1\], got 1.5"),
+        ({"grid": [[4, 2], [1, 2]], "algorithms": ["sa"]},
+         InvalidDimensionError, "need n >= 2 and k >= 1, got n=1, k=2"),
+        ({"grid": [[4, 2], [4, 0]], "algorithms": ["sa"]},
+         InvalidDimensionError, "need n >= 2 and k >= 1, got n=4, k=0"),
+        ({"grid": [[4, 2], [4, 1]], "algorithms": ["sa"], "criterion": {"kind": "maxcor"}},
+         TooFewColumnsError, "need at least 2 columns, got k=1"),
     ])
     def test_cell_inputs_that_run_refuses_are_refused_at_load(self, overrides, error, message):
         # each loaded at the parent and stopped only when a run reached the cell
@@ -266,10 +279,11 @@ class TestBenchmarkCli:
                                                                  monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # use the pool on any runner
         spec_file = tmp_path / "spec.json"
-        # the spec loads; the search of each cell refuses a one-column avgcor
+        # the spec loads; each cell's random start overflows the maxpro pair
+        # products, which no load-time check can see
         spec_file.write_text(json.dumps({
-            "grid": [[4, 1]], "algorithms": ["sa"], "criterion": {"kind": "avgcor"},
-            "replications": 2, "budget": 100, "base_seed": 1,
+            "grid": [[300, 150]], "algorithms": ["sa"], "criterion": {"kind": "maxpro"},
+            "replications": 2, "budget": 10, "base_seed": 1,
         }))
         BenchmarkSpec.from_json(spec_file)
         errs = []
@@ -277,7 +291,26 @@ class TestBenchmarkCli:
             assert main(["benchmark", str(spec_file), "-o", str(tmp_path / "r.csv"),
                          "--workers", workers]) == 2
             errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == "lhdopt: need at least 2 columns, got k=1\n"
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("lhdopt: maxpro pair products overflow float64 at n=300, k=150;")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("grid,criterion,message", [
+        ([[4, 2], [1, 2]], "phi_p", "need n >= 2 and k >= 1, got n=1, k=2"),
+        ([[4, 2], [4, 1]], "maxcor", "need at least 2 columns, got k=1"),
+    ])
+    def test_a_cell_size_the_search_refuses_exits_2_before_any_cell_runs(
+            self, tmp_path, capsys, monkeypatch, grid, criterion, message):
+        monkeypatch.setattr(S, "sa_search", lambda *a: pytest.fail("a cell ran"))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "grid": grid, "algorithms": ["sa"], "criterion": {"kind": criterion},
+            "replications": 1, "budget": 100, "base_seed": 1,
+        }))
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", str(spec_file), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"lhdopt: {message}\n"
+        assert not out.exists()
 
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"

@@ -28,7 +28,7 @@ from lhdopt import (
 )
 from lhdopt import cli, criteria as crit, search as S
 from lhdopt.cli import main, search_from_echo
-from lhdopt.errors import InvalidConfigError
+from lhdopt.errors import InvalidConfigError, InvalidParameterError
 from lhdopt.io import read_design
 
 
@@ -307,6 +307,11 @@ class TestSearch:
         echo = LIBRARY_RUNS["sa-random-t0"]().config_echo
         echo = {**echo, "criterion": {**echo["criterion"], "foo": 1}}
         with pytest.raises(InvalidConfigError, match="foo"):
+            search_from_echo(echo)
+
+    def test_edited_echo_with_a_bool_seed_is_refused(self):
+        echo = {**LIBRARY_RUNS["sa-random-t0"]().config_echo, "seed": True}
+        with pytest.raises(InvalidParameterError, match=r"seed must be an integer in \[0, 2\^64\)"):
             search_from_echo(echo)
 
     def test_library_oasa_echo_has_no_array(self):

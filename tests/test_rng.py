@@ -106,6 +106,15 @@ def test_oa_to_lhd_draws_numpy_permutations(seed, name):
             assert np.array_equal(X[oa.cells[:, c] == m, c], fine)
 
 
+@pytest.mark.parametrize("seed,stream,name", [(True, 0, "seed"), (0, True, "stream"),
+                                              (False, 0, "seed")])
+def test_a_bool_is_no_seed_or_stream(seed, stream, name):
+    # True would otherwise give the draws of seed 1
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^{name} must be an integer in \[0, 2\^64\), got (True|False)$"):
+        RngStream(seed, stream)
+
+
 @pytest.mark.parametrize("rng", [np.random.default_rng(1), 7], ids=["generator", "int"])
 def test_only_streams_and_draws_are_accepted(rng):
     with pytest.raises(InvalidParameterError, match="expected RngStream or Draws"):

@@ -29,7 +29,13 @@ from lhdopt.cli import search_from_echo
 from lhdopt.constructions import collapse_to_oa, make_oa
 from lhdopt.criteria import evaluate
 from lhdopt import search as S
-from lhdopt.errors import InvalidConfigError, InvalidOAError, InvalidWeightError
+from lhdopt.errors import (
+    InvalidConfigError,
+    InvalidDimensionError,
+    InvalidOAError,
+    InvalidWeightError,
+    TooFewColumnsError,
+)
 from lhdopt.io import write_oa
 from lhdopt.rng import two_distinct
 from lhdopt.search import match_swaps
@@ -309,6 +315,11 @@ class TestSlicedSa:
         with pytest.raises(IndivisibleRunsError):
             make_slices(6, 1)
 
+    def test_a_column_count_below_one_is_a_dimension_error(self):
+        # the check random_lhd makes, as every other search raises it
+        with pytest.raises(InvalidDimensionError, match="need n >= 2 and k >= 1, got n=6, k=0"):
+            sliced_sa_search(make_slices(6, 3), 0, PHI, cfg("sa-sliced", budget=100))
+
     def test_determinism(self):
         slices = make_slices(6, 3)
         a = sliced_sa_search(slices, 2, PHI, cfg("sa-sliced", budget=1000, seed=8))
@@ -410,6 +421,20 @@ class TestRun:
         combo = S.run(cfg("sa-multiobj", budget=100, weight=0.5),
                       CriterionSpec("combo", weight=0.5), 6, 3)
         assert combo.value == S.run(cfg("sa-multiobj", budget=100, weight=0.5), PHI, 6, 3).value
+
+    @pytest.mark.parametrize("alg,kind,n,k,error,message", [
+        ("sa", "phi_p", 1, 2, InvalidDimensionError, "need n >= 2 and k >= 1, got n=1, k=2"),
+        ("ga", "maxpro", 4, 0, InvalidDimensionError, "need n >= 2 and k >= 1, got n=4, k=0"),
+        ("sa-sliced", "phi_p", 6, 0, InvalidDimensionError, "need n >= 2 and k >= 1"),
+        ("lapso", "maxcor", 4, 1, TooFewColumnsError, "need at least 2 columns, got k=1"),
+        ("sa", "avgcor", 4, 1, TooFewColumnsError, "need at least 2 columns, got k=1"),
+    ])
+    def test_a_size_the_search_refuses_is_refused_before_it_runs(
+            self, alg, kind, n, k, error, message, monkeypatch):
+        fn = {"sa-sliced": "sliced_sa_search"}.get(alg, f"{alg}_search")
+        monkeypatch.setattr(S, fn, lambda *a: pytest.fail("the search ran"))
+        with pytest.raises(error, match=message):
+            S.run(cfg(alg, budget=100), CriterionSpec(kind), n, k, slices=3)
 
     @pytest.mark.parametrize("n,k", [(8, None), (None, 3), (9, 3)])
     def test_oasa_size_must_match_the_array(self, n, k):
