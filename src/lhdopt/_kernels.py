@@ -27,12 +27,11 @@ for ``L[x_j, x_l]`` against each row l, one subtraction of two table rows
 and one gather by the column.  The maxpro state keeps the reciprocal pair
 products ``R`` and a table ``G[u, v] = (u - v)^2``, so ``maxpro_delta``
 scales rows i, j of ``R`` by one ratio vector of two ``G`` rows.  Each
-returns the two new rows of its pair matrix beside the sum, and a commit
-writes them into rows and columns i, j; the maxpro rows are products of
-rounded ratios, so the state rebuilds ``R`` from the reciprocals that
-``maxpro_sum`` returns whenever it recomputes its sum.  ``phi_delta``
-returns the change of one running pair sum and ``maxpro_delta`` the new
-value of another; both follow one drift policy (``criteria._PairSum``),
+returns the change of its running pair sum and the two new rows of its pair
+matrix, and a commit writes the rows into rows and columns i, j; the maxpro
+rows are products of rounded ratios, so the state rebuilds ``R`` from the
+reciprocals that ``maxpro_sum`` returns whenever it recomputes its sum.
+Both sums follow one drift policy (``criteria._PairSum``),
 and the evaluator is tested to agree with ``phi_stable`` to 1e-10 for
 1 <= p <= 400 and with ``maxpro_sum`` to 1e-10.  ``phi_sum`` is the plain
 sum of d^-p, which underflows at large p; nothing in the library calls it.
@@ -197,9 +196,9 @@ def maxpro_sum(X: np.ndarray) -> tuple[float, np.ndarray]:
     return s, r
 
 
-def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int,
-                 s: float) -> tuple[float, np.ndarray]:
-    """New maxpro pair sum ``s`` after rows i, j swap their entries of the
+def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray,
+                 i: int, j: int) -> tuple[float, np.ndarray]:
+    """Change of the maxpro pair sum when rows i, j swap their entries of the
     column ``x`` (int64 levels 1..n), and rows i, j of ``R`` after the swap.
 
     ``R`` holds the reciprocal pair products before the swap (zero diagonal),
@@ -208,7 +207,7 @@ def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int,
     and ``R[j, l]`` by its inverse; both ratios are 1 at (i, j) and (j, i),
     the pair it leaves unchanged, and the zero diagonal drops (i, i) and
     (j, j), so one sum of the new rows minus the old over both full rows
-    gives the change of ``s``.  The new rows are ``rows * ratio``: each entry
+    gives the change.  The new rows are ``rows * ratio``: each entry
     gains up to about one ulp of rounding from its ratio and its product, so
     a caller that keeps them in ``R`` rebuilds ``R`` now and then.
     """
@@ -217,7 +216,7 @@ def maxpro_delta(R: np.ndarray, G: np.ndarray, x: np.ndarray, i: int, j: int,
     ratio[0, j] = ratio[1, i] = 1.0
     rows = R.take((i, j), axis=0)
     new = np.multiply(rows, ratio, out=ratio)
-    return s + float(np.add.reduce(np.subtract(new, rows, out=rows), axis=None)), new
+    return float(np.add.reduce(np.subtract(new, rows, out=rows), axis=None)), new
 
 
 def warm_up() -> None:

@@ -10,8 +10,10 @@ Correlation arithmetic is exact: columns of an LHD share mean (n+1)/2 and
 variance, so Pearson numerators are computed on the doubled-centered integer
 levels z = 2x - (n+1) and a correlation is reported as exactly 0.0 whenever
 the integer Gram entry is zero.  A design with a column that is not a
-permutation of 1..n has other means and variances, so the correlation
-criteria raise ``InvalidDesignError`` for it.
+permutation of 1..n has other means and variances, so every correlation
+criterion, ``combo`` included, raises ``InvalidDesignError`` for it at any k
+(``_lhd``).  One LHD column has no column pair: ``avg_sq_cor`` is 0.0 for it,
+while ``avg_abs_cor`` and ``max_abs_cor`` raise ``TooFewColumnsError``.
 """
 
 from __future__ import annotations
@@ -124,19 +126,14 @@ def maxpro_psi(design: np.ndarray) -> float:
     return float((_kernels.maxpro_sum(X)[0] / (n * (n - 1) // 2)) ** (1.0 / k))
 
 
-def _lhd(X: np.ndarray) -> np.ndarray:
-    """``X``, whose every column must be a permutation of 1..n: the
-    correlation arithmetic and the ``Evaluator`` need an LHD."""
+def _lhd(design: np.ndarray) -> np.ndarray:
+    """``design`` as an array whose every column must be a permutation of
+    1..n: the correlation arithmetic and the ``Evaluator`` need an LHD."""
+    X = as_design(design)
     n = X.shape[0]
     if not rearranged_columns(X, np.arange(1, n + 1)).all():
         raise InvalidDesignError(f"need an LHD: every column a permutation of 1..{n}")
     return X
-
-
-def _doubled_centered(X: np.ndarray) -> np.ndarray:
-    """The levels z = 2x - (n+1) of the correlation arithmetic, which needs
-    every column of X to be a permutation of 1..n; any other levels raise."""
-    return 2 * _lhd(X) - (X.shape[0] + 1)
 
 
 def _level_ss(n: int) -> float:
@@ -146,57 +143,57 @@ def _level_ss(n: int) -> float:
 
 def column_correlations(design: np.ndarray) -> np.ndarray:
     """k x k matrix of Pearson correlations between columns (diagonal 1)."""
-    X = as_design(design)
-    Z = _doubled_centered(X)
-    C = (Z.T @ Z).astype(np.float64) / _level_ss(X.shape[0])
-    np.fill_diagonal(C, 1.0)
+    X = _lhd(design)
+    a, b = _kernels.pair_indices(X.shape[1])
+    C = np.eye(X.shape[1])
+    C[a, b] = C[b, a] = _pair_gram(X) / _level_ss(X.shape[0])
     return C
 
 
-# a correlation statistic from the integer Gram vector g of the m >= 1 column
-# pairs and v = _level_ss(n); sum / m has the bits of mean, and dividing by
-# v > 0 is monotone, so it commutes with max
+# a correlation statistic from the integer Gram vector g of the m column pairs
+# and v = _level_ss(n); sum / m has the bits of mean, and dividing by v > 0 is
+# monotone, so it commutes with max; avgsqcor is 0.0 when m = 0
 _COR_STATS = {
     "avgcor": lambda g, v, m: float((np.abs(g) / v).sum() / m),
     "maxcor": lambda g, v, m: float(np.abs(g).max()) / v,
-    "avgsqcor": lambda g, v, m: float(np.square(g / v).sum() / m),
+    "avgsqcor": lambda g, v, m: float(np.square(g / v).sum() / max(m, 1)),
 }
 
 
-def _pair_gram(Z: np.ndarray) -> np.ndarray:
-    """Integer Gram entries of the column pairs a < b of ``pair_indices``."""
-    a, b = _kernels.pair_indices(Z.shape[1])
+def _pair_gram(X: np.ndarray) -> np.ndarray:
+    """Integer Gram entries of the doubled-centered levels z = 2x - (n+1) of
+    the LHD ``X``, for the column pairs a < b of ``pair_indices``."""
+    Z = 2 * X - (X.shape[0] + 1)
+    a, b = _kernels.pair_indices(X.shape[1])
     return (Z.T @ Z)[a, b]
 
 
 def check_columns(kind: str, k: int) -> None:
-    """Refuse k < 2 for a correlation statistic (``_COR_STATS``): one column
-    has no column pair.  ``combo`` takes its avgsqcor term as 0.0 there."""
-    if kind in _COR_STATS and k < 2:
+    """Refuse k < 2 for avgcor and maxcor: one column has no column pair."""
+    if kind in ("avgcor", "maxcor") and k < 2:
         raise TooFewColumnsError(f"need at least 2 columns, got k={k}")
 
 
-def _correlation(design: np.ndarray, stat: str) -> float:
-    X = as_design(design)
+def _correlation(X: np.ndarray, stat: str) -> float:
+    """The statistic ``stat`` of ``_COR_STATS`` for the LHD ``X``."""
     n, k = X.shape
     check_columns(stat, k)
-    return _COR_STATS[stat](_pair_gram(_doubled_centered(X)), _level_ss(n), k * (k - 1) // 2)
+    return _COR_STATS[stat](_pair_gram(X), _level_ss(n), k * (k - 1) // 2)
 
 
 def avg_abs_cor(design: np.ndarray) -> float:
     """Mean absolute Pearson correlation over unordered column pairs."""
-    return _correlation(design, "avgcor")
+    return _correlation(_lhd(design), "avgcor")
 
 
 def max_abs_cor(design: np.ndarray) -> float:
     """Largest absolute Pearson correlation; exactly 0 iff orthogonal."""
-    return _correlation(design, "maxcor")
+    return _correlation(_lhd(design), "maxcor")
 
 
 def avg_sq_cor(design: np.ndarray) -> float:
     """Mean squared Pearson correlation over column pairs (0.0 when k < 2)."""
-    X = as_design(design)
-    return _correlation(X, "avgsqcor") if X.shape[1] >= 2 else 0.0
+    return _correlation(_lhd(design), "avgsqcor")
 
 
 def phi_p_lower_proxy(n: int, k: int, p: int, q: int) -> float:
@@ -246,9 +243,9 @@ def weighted_objective(design: np.ndarray, spec: CriterionSpec) -> float:
     """
     if spec.kind != "combo":
         raise InvalidConfigError(f"weighted_objective needs kind='combo', got {spec.kind!r}")
-    X = as_design(design)
+    X = _lhd(design)
     n, k = X.shape
-    cor = avg_sq_cor(X)  # so a design that is no LHD raises before U is checked
+    cor = _correlation(X, "avgsqcor")
     phi = phi_p(X, spec.p, spec.q)
     return _combo_mix(n, k, spec, phi)(cor, phi)
 
@@ -279,16 +276,17 @@ class _PairSum:
     largest sum, so it rounds ``s`` by at most about 240 eps for n <= 1024.
 
     A subclass keeps its symmetric n x n pair matrix in ``M`` and supplies
-    ``_step`` (the new sum, leaving rows i, j of ``M`` after the swap in
-    ``rows``), ``_value`` (the criterion value of a sum), ``_full`` (the
-    value of the swapped design, evaluated in full) and ``_exact`` (``s``
-    recomputed from the design).
+    ``_delta`` (its delta kernel on the swapped column: the change of ``s``
+    and rows i, j of ``M`` after the swap), ``_value`` (the criterion value
+    of a sum), ``_full`` (the value of the swapped design, evaluated in
+    full) and ``_exact`` (``s`` recomputed from the design).
     """
 
     floor = 0.0
 
     def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        self.new = self._step(X, col, i, j)
+        change, self.rows = self._delta(X[:, col], i, j)
+        self.new = self.s + change
         self.fast = _CANCEL * self.s <= self.new <= _RANGE
         self.new_value = self._value(self.new) if self.fast else self._full(exchange(X, col, i, j))
         return self.new_value
@@ -369,9 +367,8 @@ class _PhiState(_PairSum):
     def _value(self, s: float) -> float:
         return s ** (1.0 / self.p) / self.root
 
-    def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        dT, self.rows = _kernels.phi_delta(self.S, self.W, self.L, X[:, col], i, j)
-        return self.s + dT
+    def _delta(self, x: np.ndarray, i: int, j: int) -> tuple[float, np.ndarray]:
+        return _kernels.phi_delta(self.S, self.W, self.L, x, i, j)
 
     def _full(self, Y: np.ndarray) -> float:
         return float(_kernels.phi_stable(Y, self.p, self.q))
@@ -385,19 +382,19 @@ class _CorrState:
     ``pos[col]``, which pair ``col`` with the columns ``partner[col]``, by
     exact integers read off the design's levels x (z = 2x - (n+1)); a
     proposal updates those in a copy of ``g`` and computes the one
-    statistic the criterion reads (0.0 when k < 2).
+    statistic the criterion reads.
     """
 
     def __init__(self, X: np.ndarray, spec: CriterionSpec):
         n, k = X.shape
         check_columns(spec.kind, k)
         a, b = _kernels.pair_indices(k)
-        self.g = _pair_gram(2 * X - (n + 1))  # X is an LHD: Evaluator checked it
+        self.g = _pair_gram(X)  # X is an LHD: Evaluator checked it
         self.pos = [np.flatnonzero((a == c) | (b == c)) for c in range(k)]
         self.partner = [a[p] + b[p] - c for c, p in enumerate(self.pos)]
         stat_of = _COR_STATS["avgsqcor" if spec.kind == "combo" else spec.kind]
         v, m = _level_ss(n), a.size
-        self.stat = (lambda g: stat_of(g, v, m)) if m else (lambda g: 0.0)
+        self.stat = lambda g: stat_of(g, v, m)
         self.value = self.stat(self.g)
 
     def propose(self, X: np.ndarray, col: int, i: int, j: int) -> float:
@@ -436,9 +433,8 @@ class _MaxproState(_PairSum):
     def _value(self, s: float) -> float:
         return (s / self.pairs[0].size) ** (1.0 / self.k)
 
-    def _step(self, X: np.ndarray, col: int, i: int, j: int) -> float:
-        s, self.rows = _kernels.maxpro_delta(self.R, self.G, X[:, col], i, j, self.s)
-        return s
+    def _delta(self, x: np.ndarray, i: int, j: int) -> tuple[float, np.ndarray]:
+        return _kernels.maxpro_delta(self.R, self.G, x, i, j)
 
     _full = staticmethod(maxpro_psi)
 
@@ -486,7 +482,7 @@ class Evaluator:
     """
 
     def __init__(self, design: np.ndarray, spec: CriterionSpec):
-        self.X = _lhd(as_design(design)).copy(order="F")
+        self.X = _lhd(design).copy(order="F")
         self.n, self.k = self.X.shape
         self.state = _STATES.get(spec.kind, _CorrState)(self.X, spec)
         self.spec = getattr(self.state, "spec", spec)

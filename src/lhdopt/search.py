@@ -31,7 +31,7 @@ from . import criteria as crit
 from .constructions import OrthogonalArray, oa_to_lhd
 from .criteria import CriterionSpec, Evaluator
 from .design import SliceStructure, as_size, make_slices, random_lhd
-from .errors import InvalidConfigError, as_int
+from .errors import InvalidConfigError, InvalidDimensionError, as_int
 from .io import load_oa
 from .rng import Draws, RngStream, permutation, two_distinct
 
@@ -570,7 +570,9 @@ def _checked_search(config: OptimizerConfig, spec: CriterionSpec, n, k, slices, 
         raise InvalidConfigError(f"{alg} needs {' and '.join(missing)}")
     if alg == "oasa":
         arr = load_oa(oa)
-        if any(v is not None and v != want for v, want in ((n, arr.N), (k, arr.K))):
+        given = [(as_int(v, name, InvalidDimensionError), want)
+                 for v, name, want in ((n, "n", arr.N), (k, "k", arr.K)) if v is not None]
+        if any(v != want for v, want in given):
             raise InvalidConfigError(
                 f"(n, k) = ({n}, {k}) does not match {oa} = ({arr.N}, {arr.K})")
         return lambda: oasa_search(arr, spec, config)

@@ -252,15 +252,21 @@ class TestCorrelations:
 
     @pytest.mark.parametrize("X", [[[10, 20], [20, 10], [30, 30]],  # integral, not 1..n
                                    [[1, 2], [1, 1], [3, 3]],        # a repeated level
-                                   [[0, 1], [1, 2], [2, 3]]])       # shifted levels
+                                   [[0, 1], [1, 2], [2, 3]],        # shifted levels
+                                   [[1], [1], [3]],                 # one column, repeated
+                                   [[1], [3], [5]]])                # one column, not 1..n
     def test_levels_other_than_1_to_n_are_a_typed_error(self, X):
         for fn in (avg_abs_cor, max_abs_cor, avg_sq_cor, column_correlations):
             with pytest.raises(InvalidDesignError, match="permutation of 1..3"):
                 fn(X)
-        for kind in ("avgcor", "maxcor", "combo"):
-            spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
-            with pytest.raises(InvalidDesignError):
-                evaluate(X, spec)
+        for kind in ("avgcor", "maxcor"):
+            with pytest.raises(InvalidDesignError, match="permutation of 1..3"):
+                evaluate(X, CriterionSpec(kind))
+        for upper in (None, 5.0):  # the check comes before U's
+            spec = CriterionSpec("combo", weight=0.5, norm_upper=upper)
+            for fn in (weighted_objective, evaluate):
+                with pytest.raises(InvalidDesignError, match="permutation of 1..3"):
+                    fn(X, spec)
         for kind in KINDS:  # the Evaluator takes LHDs only, whatever the criterion
             spec = CriterionSpec(kind, weight=0.5 if kind == "combo" else None)
             with pytest.raises(InvalidDesignError, match="permutation of 1..3"):

@@ -61,6 +61,11 @@ def _oracle(name, rows, p, q):
     return getattr(oracles, name)(rows)
 
 
+def _is_lhd(A):
+    return (A.ndim == 2 and A.dtype.kind == "i" and min(A.shape) >= 1 and A.shape[0] >= 2
+            and (np.sort(A, axis=0) == np.arange(1, A.shape[0] + 1)[:, None]).all())
+
+
 CRITERIA = {"phi_p": phi_p, "maxpro_psi": maxpro_psi, "avg_abs_cor": avg_abs_cor,
             "max_abs_cor": max_abs_cor, "avg_sq_cor": avg_sq_cor}
 
@@ -72,14 +77,12 @@ def test_criteria_raise_a_typed_error_or_match_the_oracles(A, name, p, q):
     try:
         got = CRITERIA[name](A, *args)
     except LhdError:
-        is_lhd = (A.ndim == 2 and A.dtype.kind == "i" and min(A.shape) >= 1 and A.shape[0] >= 2
-                  and (np.sort(A, axis=0) == np.arange(1, A.shape[0] + 1)[:, None]).all())
         # an LHD fails only where the criterion needs more columns
-        assert not is_lhd or (name in ("avg_abs_cor", "max_abs_cor") and A.shape[1] < 2)
+        assert not _is_lhd(A) or (name in ("avg_abs_cor", "max_abs_cor") and A.shape[1] < 2)
         return
     rows = A.tolist()
-    if name == "avg_sq_cor" and A.shape[1] < 2:
-        assert got == 0.0
+    if name == "avg_sq_cor" and A.shape[1] < 2:  # one column of an LHD has no pair
+        assert _is_lhd(A) and got == 0.0
         return
     want = _oracle(name, rows, p, q)
     assert got == pytest.approx(want, rel=1e-10), (name, rows)

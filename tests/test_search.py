@@ -441,6 +441,15 @@ class TestRun:
         with pytest.raises(InvalidConfigError, match="does not match"):
             S.run(cfg("oasa", budget=100), PHI, n, k, oa="OA(9,4,3,2)")
 
+    @pytest.mark.parametrize("n,k,message", [(9.0, 4, "n must be an integer, got 9.0"),
+                                             (True, 4, "n must be an integer, got True"),
+                                             (9, 4.0, "k must be an integer, got 4.0"),
+                                             (None, False, "k must be an integer, got False")])
+    def test_oasa_size_must_be_an_integer(self, n, k, message, monkeypatch):
+        monkeypatch.setattr(S, "oasa_search", lambda *a: pytest.fail("the search ran"))
+        with pytest.raises(InvalidDimensionError, match=f"^{message}$"):
+            S.run(cfg("oasa", budget=100), PHI, n, k, oa="OA(9,4,3,2)")
+
     def test_dispatch_equals_the_search_functions(self):
         pairs = [
             (S.run(cfg("sa", budget=500), PHI, 6, 3), sa_search(6, 3, PHI, cfg("sa", budget=500))),
