@@ -64,6 +64,10 @@ class BenchmarkSpec:
             raise InvalidConfigError(f"oa must be a catalog name or CSV path, got {spec.oa_name!r}")
         if not spec.grid or not spec.algorithms:
             raise InvalidConfigError("benchmark spec needs a non-empty grid and algorithms")
+        for name, items in (("algorithm", spec.algorithms), ("grid cell", spec.grid)):
+            repeated = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeated:
+                raise InvalidConfigError(f"benchmark spec repeats the {name} {repeated[0]!r}")
         if spec.replications < 1:
             raise InvalidConfigError(f"replications must be positive, got {spec.replications}")
         # each cell passes the config and input checks of run() here, before any cell runs

@@ -41,25 +41,18 @@ from .rng import Draws, RngStream, as_draws, permutation
 
 @dataclass(frozen=True)
 class OrthogonalArray:
-    """Symmetric orthogonal array: N runs, K columns, symbols 1..s, strength t
-    (every t columns balanced).  Construction checks the declared strength
-    and the cells (:func:`validate_oa`, and N x K cells), and
-    keeps the cells as a read-only int64 copy; arrays with equal symbols,
-    strength and cells are equal."""
+    """Symmetric orthogonal array: N x K cells of symbols 1..s, strength t
+    (every t columns balanced).  Construction checks both (:func:`validate_oa`)
+    and keeps a read-only copy of the cells; equal s, strength and cells compare equal."""
 
-    N: int
-    K: int
-    s: int
-    strength: int
     cells: np.ndarray
+    s: int
+    strength: int = 2
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.int64)
+        cells = np.array(validate_oa(self.cells, self.s, self.strength))
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        validate_oa(cells, self.s, self.strength)
-        if cells.shape != (self.N, self.K):
-            raise InvalidOAError(f"cells are {cells.shape}, not (N, K) = ({self.N}, {self.K})")
 
     def __eq__(self, other):
         if not isinstance(other, OrthogonalArray):
@@ -71,15 +64,18 @@ class OrthogonalArray:
         return hash((self.s, self.strength, self.cells.shape, self.cells.tobytes()))
 
     @property
-    def reps(self) -> int:
-        """Appearances of each symbol per column (N/s)."""
-        return self.N // self.s
+    def N(self) -> int:
+        return self.cells.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.cells.shape[1]
 
 
-def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> None:
-    """Raise InvalidOAError unless strength-t balance holds exactly: 2 <= t <= K,
-    s^t divides N, and every t columns hold each of the s^t symbol tuples
-    N/s^t times."""
+def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> np.ndarray:
+    """The cells as :func:`exact_int64` casts them, or InvalidOAError unless
+    strength-t balance holds exactly: 2 <= t <= K, s^t divides N, and every t
+    columns hold each of the s^t symbol tuples N/s^t times."""
     A = exact_int64(cells, "OA cells", InvalidOAError)
     if A.ndim != 2:
         raise InvalidOAError("array must be 2-D")
@@ -98,12 +94,7 @@ def validate_oa(cells: np.ndarray, s: int, strength: int = 2) -> None:
         if not np.all(counts == N // s ** t):
             raise InvalidOAError(
                 f"columns {','.join(str(c + 1) for c in cols)} violate strength-{t} balance")
-
-
-def make_oa(cells: np.ndarray, s: int, strength: int = 2) -> OrthogonalArray:
-    """An OrthogonalArray of the raw cells, symbols 1..s; N and K are their shape."""
-    shape = np.shape(cells)  # validation rejects one that is not 2-D
-    return OrthogonalArray(*(shape if len(shape) == 2 else (0, 0)), s, strength, cells)
+    return A
 
 
 def parse_oa(text: str, sidecar) -> OrthogonalArray:
@@ -116,7 +107,11 @@ def parse_oa(text: str, sidecar) -> OrthogonalArray:
         cells = parse_int_csv(text)
     except ValueError as e:
         raise InvalidOAError(f"OA cells are not an integer CSV matrix: {e}") from e
-    return OrthogonalArray(*declared, cells)
+    N, K, s, t = declared
+    oa = OrthogonalArray(cells, s, t)
+    if oa.cells.shape != (N, K):
+        raise InvalidOAError(f"cells are {oa.cells.shape}, not (N, K) = ({N}, {K})")
+    return oa
 
 
 def _load_catalog_index() -> dict:
@@ -158,7 +153,7 @@ def oa_to_lhd(oa: OrthogonalArray, rng: RngStream | Draws | None = None) -> np.n
     ascending).  Collapsing the result via ceil(x*s/N) recovers the source
     array exactly.
     """
-    N, K, s, reps = oa.N, oa.K, oa.s, oa.reps
+    N, K, s, reps = oa.N, oa.K, oa.s, oa.N // oa.s
     draws = None if rng is None else as_draws(rng)
     X = np.empty((N, K), dtype=np.int64)
     for c in range(K):
@@ -358,9 +353,9 @@ def olhd_lin2009(olhd: np.ndarray, oa: OrthogonalArray) -> np.ndarray:
     every cross inner product a multiple of the base design's centered Gram,
     so an orthogonal input gives an exactly orthogonal output.
     """
-    if not validate(olhd).ok:  # before the cast, which would truncate a level 1.5 to 1
+    if not validate(olhd).ok:
         raise DimensionMismatchError("base design must be a valid LHD")
-    base = np.asarray(olhd, dtype=np.int64)
+    base = as_design(olhd)
     n, p = base.shape
     if oa.N != n * n:
         raise DimensionMismatchError(f"OA needs n^2 = {n * n} runs, has {oa.N}")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .constructions import OrthogonalArray, good_oa_catalog, parse_oa
-from .design import parse_int_csv
+from .design import as_design, parse_int_csv
 from .errors import LhdError
 
 
@@ -46,7 +46,10 @@ def check_writable(*paths: str | Path | None) -> None:
 
 
 def write_design(path: str | Path, design: np.ndarray) -> Path:
-    rows = "\n".join(",".join(str(int(v)) for v in row) for row in np.asarray(design))
+    """Write the design as :func:`as_design` casts it, so nothing is written
+    for a level that is no finite integer or an array that is not 2-D."""
+    X = as_design(design)
+    rows = "\n".join(",".join(map(str, row)) for row in X.tolist())
     return write_text(path, rows + "\n")
 
 

@@ -312,6 +312,23 @@ class TestBenchmarkCli:
         assert capsys.readouterr().err == f"lhdopt: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"algorithms": ["sa", "sa"]}, "benchmark spec repeats the algorithm 'sa'"),
+        ({"grid": [[12, 4], [12, 4]]}, "benchmark spec repeats the grid cell (12, 4)"),
+    ])
+    def test_a_repeated_algorithm_or_grid_cell_exits_2_with_no_csv(
+            self, tmp_path, capsys, monkeypatch, overrides, message):
+        # refused at load: a repeat would run its cells twice under the same rep numbers
+        monkeypatch.setattr(S, "sa_search", lambda *a: pytest.fail("a cell ran"))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"grid": [[12, 4]], "algorithms": ["sa"],
+                                         "replications": 2, "budget": 200, "base_seed": 1,
+                                         **overrides}))
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", str(spec_file), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"lhdopt: {message}\n"
+        assert not out.exists()
+
     def test_value_column_byte_identical_across_workers(self, tmp_path):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Constructions: size contracts, exact orthogonality, round trips, catalog."""
 
+import warnings
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -22,7 +23,7 @@ from lhdopt import (
     validate,
     williams_transform,
 )
-from lhdopt.constructions import collapse_to_oa, make_oa, validate_oa
+from lhdopt.constructions import collapse_to_oa, validate_oa
 from lhdopt.errors import (
     DimensionMismatchError,
     InvalidDesignError,
@@ -222,22 +223,22 @@ class TestCatalog:
     def test_declared_strength_is_checked(self):
         # OA(8,4,2,2) has strength 3: every three of its columns are balanced
         cells8 = good_oa_catalog("OA(8,4,2,2)").cells
-        assert OrthogonalArray(8, 4, 2, 3, cells8).strength == 3
+        assert OrthogonalArray(cells8, 2, 3).strength == 3
         cells9 = good_oa_catalog("OA(9,4,3,2)").cells
         with pytest.raises(InvalidOAError, match="run count 9 incompatible with s=3 at strength 3"):
-            OrthogonalArray(9, 4, 3, 3, cells9)
+            OrthogonalArray(cells9, 3, 3)
         for t in (1, 5, 7):
             with pytest.raises(InvalidOAError, match=f"strength must be in 2..4 for 4 columns, got {t}"):
-                OrthogonalArray(9, 4, 3, t, cells9)
+                OrthogonalArray(cells9, 3, t)
         with pytest.raises(InvalidOAError, match="strength must be an integer"):
-            OrthogonalArray(9, 4, 3, 2.0, cells9)
+            OrthogonalArray(cells9, 3, 2.0)
         with pytest.raises(InvalidOAError, match="s must be an integer"):
-            OrthogonalArray(9, 4, 3.0, 2, cells9)
+            OrthogonalArray(cells9, 3.0, 2)
         # column 4 = column 1 xor column 2: every pair balanced, that triple not
         cells = [[a + 1, b + 1, c + 1, (a ^ b) + 1] for a, b, c in product((0, 1), repeat=3)]
-        assert OrthogonalArray(8, 4, 2, 2, cells).strength == 2
+        assert OrthogonalArray(cells, 2, 2).strength == 2
         with pytest.raises(InvalidOAError, match="columns 1,2,4 violate strength-3 balance"):
-            OrthogonalArray(8, 4, 2, 3, cells)
+            OrthogonalArray(cells, 2, 3)
         # float cells of integral symbols are checked like integer ones
         validate_oa(np.array(cells, dtype=np.float64), 2, 2)
         with pytest.raises(InvalidOAError, match="OA cells must be finite integers"):
@@ -258,13 +259,13 @@ class TestCatalog:
         a, b = good_oa_catalog("OA(9,4,3,2)"), good_oa_catalog("OA(9,4,3,2)")
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != good_oa_catalog("OA(4,3,2,2)")
-        assert a != make_oa(a.cells[::-1], s=3)  # same runs, other order
+        assert a != OrthogonalArray(a.cells[::-1], 3)  # same runs, other order
         assert a != "OA(9,4,3,2)"
 
 
 class TestOaToLhd:
     def test_deterministic_fill_example(self):
-        oa = make_oa(np.array([[1, 1], [1, 2], [2, 1], [2, 2]]), s=2)
+        oa = OrthogonalArray(np.array([[1, 1], [1, 2], [2, 1], [2, 2]]), 2)
         assert oa_to_lhd(oa).tolist() == [[1, 1], [2, 3], [3, 2], [4, 4]]
 
     @pytest.mark.parametrize("name", ["OA(4,3,2,2)", "OA(8,4,2,2)", "OA(9,4,3,2)",
@@ -297,22 +298,35 @@ class TestOaToLhd:
 
     def test_unbalanced_symbols_rejected(self):
         with pytest.raises(InvalidOAError):
-            make_oa(np.array([[1, 1], [1, 2], [1, 1], [2, 2]]), s=2)
+            OrthogonalArray(np.array([[1, 1], [1, 2], [1, 1], [2, 2]]), 2)
         with pytest.raises(InvalidOAError):
-            make_oa(np.array([[1, 1], [2, 2], [1, 2]]), s=2)  # 3 runs, not s^2-divisible
+            OrthogonalArray(np.array([[1, 1], [2, 2], [1, 2]]), 2)  # 3 runs, not s^2-divisible
 
     def test_orthogonal_array_validates_itself(self):
         cells = [[1, 1], [1, 2], [2, 1], [2, 2]]
-        oa = OrthogonalArray(4, 2, 2, 2, cells)
+        oa = OrthogonalArray(cells, 2, 2)
         assert oa.cells.dtype == np.int64 and not oa.cells.flags.writeable
-        with pytest.raises(InvalidOAError, match=r"not \(N, K\) = \(8, 2\)"):
-            OrthogonalArray(8, 2, 2, 2, cells)
+        assert (oa.N, oa.K) == (4, 2)
+        source = np.array(cells)
+        kept = OrthogonalArray(source, 2)
+        source[0, 0] = 2
+        assert kept == oa  # the cells are a copy, not a view of the caller's array
         with pytest.raises(InvalidOAError, match="not balanced"):
-            OrthogonalArray(4, 2, 2, 2, [[1, 1], [1, 2], [1, 1], [2, 2]])
+            OrthogonalArray([[1, 1], [1, 2], [1, 1], [2, 2]], 2, 2)
         with pytest.raises(InvalidOAError, match="column 2 is not balanced over symbols 1..2"):
-            OrthogonalArray(4, 2, 2, 2, [[1, 1], [1, 2], [2, 3], [2, 2]])
+            OrthogonalArray([[1, 1], [1, 2], [2, 3], [2, 2]], 2, 2)
         with pytest.raises(InvalidOAError, match="run count 0"):
-            make_oa(np.zeros((0, 2), dtype=np.int64), s=2)
+            OrthogonalArray(np.zeros((0, 2), dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    def test_cells_that_are_no_integers_are_refused_not_truncated(self, bad):
+        cells = np.array([[1, 1], [1, 2], [2, 1], [2, 2]], dtype=np.float64)
+        assert OrthogonalArray(cells, 2).cells.tolist() == cells.tolist()
+        cells[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidOAError, match="OA cells must be finite integers within int64"):
+                OrthogonalArray(cells, 2)
 
 
 class TestLin2009:
@@ -328,7 +342,7 @@ class TestLin2009:
 
     def test_even_base(self):
         oa16 = good_oa_catalog("OA(16,5,4,2)")
-        oa = make_oa(oa16.cells[:, :4], s=4)
+        oa = OrthogonalArray(oa16.cells[:, :4], 4)
         X = olhd_lin2009(olhd_sun2010(1, 1, False), oa)
         assert X.shape == (16, 8)
         assert validate(X).ok
@@ -348,7 +362,7 @@ class TestLin2009:
         with pytest.raises(DimensionMismatchError):
             # odd column count
             oa = good_oa_catalog("OA(25,6,5,2)")
-            olhd_lin2009(base, make_oa(oa.cells[:, :5], s=5))
+            olhd_lin2009(base, OrthogonalArray(oa.cells[:, :5], 5))
 
     def test_non_integral_base_is_rejected_not_truncated(self):
         base = olhd_ye1998(2).astype(np.float64)

@@ -1,12 +1,14 @@
 """File format round trips: design CSV, JSON sidecars, trace and results CSV, OA files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lhdopt import RngStream, good_oa_catalog, random_lhd
 from lhdopt.cli import main
 from lhdopt.constructions import parse_oa
-from lhdopt.errors import InvalidOAError, LhdError
+from lhdopt.errors import InvalidDesignError, InvalidDimensionError, InvalidOAError, LhdError
 from lhdopt.io import (
     read_design,
     read_json,
@@ -30,6 +32,19 @@ class TestDesignCsv:
         p = write_design(tmp_path / "d.csv", np.array([[1, 2], [2, 1]]))
         raw = p.read_bytes()
         assert raw == b"1,2\n2,1\n"
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+    def test_levels_that_are_no_integers_are_refused_and_write_nothing(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        assert write_design(p, np.array([[1.0, 2.0], [2.0, 1.0]])).read_bytes() == b"1,2\n2,1\n"
+        p.unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidDesignError, match="design levels must be finite integers"):
+                write_design(p, [[bad, 2], [2, 1]])
+        with pytest.raises(InvalidDimensionError, match="a design must be 2-D, got 3-D"):
+            write_design(p, np.array([[1, 2], [2, 1]])[..., None])
+        assert not p.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(LhdError):
@@ -128,6 +143,13 @@ class TestOaFiles:
         assert parse_oa(text, {"N": 9, "K": 4, "s": 3, "t": 2}).K == 4
         with pytest.raises(InvalidOAError):
             parse_oa(text, sidecar)
+
+    @pytest.mark.parametrize("N, K", [(8, 2), (4, 3), (2, 4)])
+    def test_parser_compares_the_declared_size_with_the_cells(self, N, K):
+        text = "1,1\n1,2\n2,1\n2,2\n"
+        assert parse_oa(text, {"N": 4, "K": 2, "s": 2, "t": 2}).cells.shape == (4, 2)
+        with pytest.raises(InvalidOAError, match=rf"cells are \(4, 2\), not \(N, K\) = \({N}, {K}\)"):
+            parse_oa(text, {"N": N, "K": K, "s": 2, "t": 2})
 
     @pytest.mark.parametrize("text", ["1,2\n2,x\n", "1,1\n1,2\n2\n", ""])
     def test_parser_rejects_cells_that_are_not_an_integer_matrix(self, text):

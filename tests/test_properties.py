@@ -11,11 +11,12 @@ always draws the same examples.
 import json
 import math
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -70,8 +71,18 @@ CRITERIA = {"phi_p": phi_p, "maxpro_psi": maxpro_psi, "avg_abs_cor": avg_abs_cor
             "max_abs_cor": max_abs_cor, "avg_sq_cor": avg_sq_cor}
 
 
+def _one_column_non_lhds(test):
+    """Explicit examples: one column that is no permutation of 1..n, which no
+    correlation criterion may take as having no column pair."""
+    for rows, name in product(([[1], [3], [5]], [[1], [1], [3]]),
+                              ("avg_sq_cor", "avg_abs_cor", "max_abs_cor")):
+        test = example(np.array(rows), name, 1, 1)(test)
+    return test
+
+
 @SETTINGS
 @given(arrays(), st.sampled_from(sorted(CRITERIA)), st.integers(1, 20), st.sampled_from((1, 2)))
+@_one_column_non_lhds
 def test_criteria_raise_a_typed_error_or_match_the_oracles(A, name, p, q):
     args = (p, q) if name == "phi_p" else ()
     try:

@@ -26,7 +26,7 @@ from lhdopt import (
     validate,
 )
 from lhdopt.cli import search_from_echo
-from lhdopt.constructions import collapse_to_oa, make_oa
+from lhdopt.constructions import OrthogonalArray, collapse_to_oa
 from lhdopt.criteria import evaluate
 from lhdopt import search as S
 from lhdopt.errors import (
@@ -235,14 +235,14 @@ class TestOasa:
 
     def test_three_column_oa_start_included(self):
         oa9 = good_oa_catalog("OA(9,4,3,2)")
-        oa = make_oa(oa9.cells[:, :3], s=3)
+        oa = OrthogonalArray(oa9.cells[:, :3], 3)
         start_value = phi_p(oa_to_lhd(oa))
         r = oasa_search(oa, PHI, cfg("oasa", budget=400))
         assert r.value <= start_value + 1e-12
 
     def test_invalid_oa(self):
         with pytest.raises(InvalidOAError):
-            make_oa(np.array([[1, 1], [2, 2], [1, 2]]), s=2)
+            OrthogonalArray(np.array([[1, 1], [2, 2], [1, 2]]), 2)
 
     def test_determinism(self):
         oa = good_oa_catalog("OA(9,4,3,2)")
